@@ -616,9 +616,9 @@ let detect_speed () =
                                benchmarks (maxcut-line,sqrt-n3,uccsd-n4)
      QCC_PERF_GATE_REQUIRE  comma-separated pass names that must each
                             contribute at least one qualifying gated row
-                            (detect,schedule) — catches a baseline whose
-                            hot passes all fell below the floor, which
-                            would silently un-gate them
+                            (detect,schedule,aggregate) — catches a
+                            baseline whose hot passes all fell below the
+                            floor, which would silently un-gate them
      QCC_PERF_GATE_HANDICAP pass=factor: multiply that pass's fresh time
                             (self-test hook: a seeded 2x slowdown must
                             fail the gate) *)
@@ -638,7 +638,7 @@ let perf_gate () =
   let required =
     List.filter
       (fun s -> s <> "")
-      (String.split_on_char ',' (getenv "QCC_PERF_GATE_REQUIRE" "detect,schedule"))
+      (String.split_on_char ',' (getenv "QCC_PERF_GATE_REQUIRE" "detect,schedule,aggregate"))
   in
   let handicap =
     match Sys.getenv_opt "QCC_PERF_GATE_HANDICAP" with

@@ -21,7 +21,9 @@ let or_die f =
     Printf.eprintf "qcc: %s\n" msg;
     exit 2
   in
-  try f () with Failure msg | Invalid_argument msg -> die msg
+  try f () with
+  | Failure msg | Invalid_argument msg -> die msg
+  | Qgate.Qasm.Parse_error msg -> die ("QASM: " ^ msg)
 
 let load_circuit ~qasm_file ~benchmark =
   match (qasm_file, benchmark) with
@@ -436,6 +438,7 @@ let profile_cmd =
         in
         metric_row "commute fast" (counter "commute.fast_path");
         metric_row "commute dense" (counter "commute.unitary");
+        metric_row "dense refuted" (counter "commute.dense.refuted");
         metric_row "agg attempted" (counter "agg.attempted");
         metric_row "agg accepted" (counter "agg.accepted");
         metric_row "agg vetoed" (counter "agg.vetoed_monotonic");

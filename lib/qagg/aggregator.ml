@@ -350,12 +350,15 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
      caches *)
   let pack a b = if a < b then (a lsl 31) lor b else (b lsl 31) lor a in
   let commute_cache : (int, bool) Hashtbl.t = Hashtbl.create 1024 in
+  (* oracle queries with per-id summaries: a block is digested and
+     classified once, not once per new pair *)
+  let oracle_commute = Comm_group.oracle_commute () in
   let commute (x : Inst.t) (y : Inst.t) =
     let key = pack x.Inst.id y.Inst.id in
     match Hashtbl.find_opt commute_cache key with
     | Some v -> v
     | None ->
-      let v = Qgdg.Commute.insts x y in
+      let v = oracle_commute x y in
       Hashtbl.replace commute_cache key v;
       v
   in

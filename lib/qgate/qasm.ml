@@ -130,6 +130,9 @@ let parse_expr ?(env = fun name -> fail "unknown parameter %S" name) s =
   in
   let v = expr () in
   if !toks <> [] then fail "trailing tokens in expression %S" s;
+  (* an out-of-range literal (1e400) or an overflow (1e300*1e300) would
+     reach the dense checks as nan gate entries *)
+  if not (Float.is_finite v) then fail "non-finite value in expression %S" s;
   v
 
 (* --- gate definitions --- *)

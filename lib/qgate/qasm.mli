@@ -8,7 +8,9 @@
     applications this project emits: id, x, y, z, h, s, sdg, t, tdg,
     rx(θ), ry(θ), rz(θ), p(θ)/u1(θ), cx, cz, cp(θ)/cu1(θ), swap, iswap,
     rxx(θ), ryy(θ), rzz(θ), ccx. Angle expressions allow literals, [pi],
-    gate parameters, unary minus, [+ - * /] and parentheses. *)
+    gate parameters, unary minus, [+ - * /] and parentheses; every
+    evaluated angle must be finite, so [rz(1e400)] or an overflowing
+    [rz(1e300*1e300)] is a {!Parse_error}. *)
 
 exception Parse_error of string
 (** Raised with a message containing the offending line. *)

@@ -108,49 +108,19 @@ let of_gates ~n_qubits gates =
 
 let equal_up_to_global_phase ?eps a b = Cmat.equal_up_to_phase ?eps a b
 
-let state_of_gates ~n_qubits gates =
-  let dim = 1 lsl n_qubits in
-  let state = Array.make dim Cx.zero in
-  state.(0) <- Cx.one;
+let apply_gates ~n_qubits gates ~re ~im =
   List.iter
     (fun (g : Gate.t) ->
-      let targets = Gate.qubits g in
-      let k = List.length targets in
-      let u = of_kind g.Gate.kind in
-      (* local bit (k-1-pos) of a gate-local index lives at global bit
-         (n-1-q) for q the pos-th listed qubit — the same frame as
-         Cmat.embed *)
-      let target_bits =
-        Array.of_list (List.map (fun q -> n_qubits - 1 - q) targets)
-      in
-      let mask =
-        Array.fold_left (fun acc b -> acc lor (1 lsl b)) 0 target_bits
-      in
-      let dl = 1 lsl k in
-      let idx = Array.make dl 0 in
-      let amp = Array.make dl Cx.zero in
-      for rest = 0 to dim - 1 do
-        if rest land mask = 0 then begin
-          for l = 0 to dl - 1 do
-            let x = ref rest in
-            for pos = 0 to k - 1 do
-              if (l lsr (k - 1 - pos)) land 1 = 1 then
-                x := !x lor (1 lsl target_bits.(pos))
-            done;
-            idx.(l) <- !x;
-            amp.(l) <- state.(!x)
-          done;
-          for i = 0 to dl - 1 do
-            let acc = ref Cx.zero in
-            for j = 0 to dl - 1 do
-              acc := Cx.add !acc (Cx.mul (Cmat.get u i j) amp.(j))
-            done;
-            state.(idx.(i)) <- !acc
-          done
-        end
-      done)
-    gates;
-  state
+      Cmat.apply_embedded ~n_qubits ~targets:(Gate.qubits g)
+        (of_kind g.Gate.kind) ~re ~im)
+    gates
+
+let state_of_gates ~n_qubits gates =
+  let dim = 1 lsl n_qubits in
+  let re = Array.make dim 0. and im = Array.make dim 0. in
+  re.(0) <- 1.;
+  apply_gates ~n_qubits gates ~re ~im;
+  Array.init dim (fun i -> Cx.make re.(i) im.(i))
 
 let on_support gates =
   if gates = [] then invalid_arg "Unitary.on_support: empty gate list";

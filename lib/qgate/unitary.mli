@@ -31,6 +31,15 @@ val state_of_gates : n_qubits:int -> Gate.t list -> Qnum.Cx.t array
     column of the joint unitary is needed (e.g. to separate two operators
     already known equal up to a global phase). *)
 
+val apply_gates :
+  n_qubits:int -> Gate.t list -> re:float array -> im:float array -> unit
+(** [apply_gates ~n_qubits gates ~re ~im] applies the gates in list (time)
+    order to the 2ⁿ-vector with real parts [re] and imaginary parts [im],
+    in place ({!Qnum.Cmat.apply_embedded} per gate: one gate matrix per
+    gate, no per-amplitude allocation). {!state_of_gates} is this kernel
+    started from |0…0⟩. Raises [Invalid_argument] when an array's length
+    is not 2ⁿ or a gate's qubits fall outside [0, n). *)
+
 val on_support : Gate.t list -> int list * Qnum.Cmat.t
 (** [on_support gates] computes the joint unitary of [gates] on the sorted
     union of their supports (relabelled locally); returns

@@ -18,6 +18,12 @@ val build : ?commute:(Inst.t -> Inst.t -> bool) -> Gdg.t -> t
     once per pair probe. Callers that rebuild groups repeatedly (the
     aggregator) pass their own memoized [commute]. *)
 
+val oracle_commute : unit -> Inst.t -> Inst.t -> bool
+(** A fresh {!Oracle.blocks} query function with its own summary cache
+    keyed by instruction id (sound because ids are unique and blocks
+    immutable) — the default [commute] of {!build}, for callers that
+    keep their own pair memo around it. *)
+
 val build_reference : Gdg.t -> t
 (** {!build} over the memo-free pre-oracle decision chain
     ({!Commute.insts_reference}); the qcheck suite pins the default

@@ -84,6 +84,7 @@ let unitary_on_own gates =
     match Hashtbl.find_opt m.unitary key with
     | Some u -> u
     | None ->
+      Qobs.Metrics.tick "commute.dense.builds";
       let u = Qgate.Unitary.of_gates ~n_qubits:k local in
       if m.unitary_cells > unitary_memo_cell_cap then begin
         Hashtbl.reset m.unitary;
@@ -94,13 +95,6 @@ let unitary_on_own gates =
       u
   in
   (own, u)
-
-(* the dense comparison on already-relabelled gates, support 0..n-1 *)
-let dense_on ~n_qubits a_gates b_gates =
-  Qobs.Metrics.tick "commute.unitary";
-  let targets_a, ua = unitary_on_own a_gates in
-  let targets_b, ub = unitary_on_own b_gates in
-  Qnum.Cmat.commute_embedded ~eps:1e-9 ~n_qubits ~targets_a ua ~targets_b ub
 
 (* ---- summaries ---- *)
 
@@ -158,9 +152,10 @@ let of_gates gs =
    diagonal) tick "commute.fast_path", as do the algebraic decisions,
    which additionally tick "commute.phase_poly" or "commute.tableau";
    joint supports too wide to check tick "commute.oversize"; only queries
-   that actually build dense unitaries tick "commute.unitary" — the
-   fast-path ratio is the headline number for the detection cost (no-ops
-   unless a metrics registry is ambient, see Qobs.Metrics) *)
+   that reach the dense route tick "commute.unitary" (see [dense_on] for
+   its refuted/build/compare split) — the fast-path ratio is the headline
+   number for the detection cost (no-ops unless a metrics registry is
+   ambient, see Qobs.Metrics) *)
 let fast_path () = Qobs.Metrics.tick "commute.fast_path"
 
 (* Route attribution: on top of the legacy counters above, every query
@@ -183,12 +178,84 @@ let route_tableau = ("commute.route.tableau", "commute.route.tableau.ms")
 let route_dense = ("commute.route.dense", "commute.route.dense.ms")
 let route_oversize = ("commute.route.oversize", "commute.route.oversize.ms")
 
+let record_since t0 hist =
+  Option.iter
+    (fun t0 -> Qobs.Metrics.record hist (Qobs.Clock.elapsed_ns t0 /. 1e6))
+    t0
+
 let route (name, hist) t0 =
-  match t0 with
-  | None -> ()
-  | Some t0 ->
+  if Option.is_some t0 then begin
     Qobs.Metrics.tick name;
-    Qobs.Metrics.record hist (Qobs.Clock.elapsed_ns t0 /. 1e6)
+    record_since t0 hist
+  end
+
+(* ---- the dense route ---- *)
+
+let dense_eps = 1e-9
+let refute_margin = 1e-7
+
+(* The probe vector v for a width: seeded, complex, dense, and scaled to
+   ‖v‖₁ = Σ_j |v_j| = 1 (complex moduli). *)
+let probe n_qubits =
+  let dim = 1 lsl n_qubits in
+  let rng = Random.State.make [| 0x9e3779b9; n_qubits |] in
+  let draw () = Random.State.float rng 2. -. 1. in
+  let re = Array.init dim (fun _ -> draw ()) in
+  let im = Array.init dim (fun _ -> draw ()) in
+  let l1 = ref 0. in
+  for j = 0 to dim - 1 do
+    l1 := !l1 +. Float.hypot re.(j) im.(j)
+  done;
+  (Array.map (fun x -> x /. !l1) re, Array.map (fun x -> x /. !l1) im)
+
+(* Refute-first: does the probe alone prove that [a] and [b] fail the
+   dense check below? With M = AB − BA and the probe's ‖v‖₁ = 1,
+   |(Mv)_i| = |Σ_j M_ij v_j| ≤ max_j |M_ij| · ‖v‖₁ = max_j |M_ij|, so a
+   residual |(ABv − BAv)_i| above eps means some entry of M exceeds eps,
+   which is exactly what the entrywise check rejects. Both sides are
+   computed in floating point: the unitaries and the probe each carry
+   rounding error of order (gate count)·2^n·1e-16, far below the margin,
+   so a residual above eps + margin only occurs when the entrywise check
+   would also fail. A non-finite residual proves nothing (the entrywise
+   comparison is vacuous on nan), so it never refutes. *)
+let refutes ~n_qubits a_gates b_gates =
+  let abr, abi = probe n_qubits in
+  let bar = Array.copy abr and bai = Array.copy abi in
+  (* AB acts on v as b's gates then a's, BA as a's then b's *)
+  Qgate.Unitary.apply_gates ~n_qubits b_gates ~re:abr ~im:abi;
+  Qgate.Unitary.apply_gates ~n_qubits a_gates ~re:abr ~im:abi;
+  Qgate.Unitary.apply_gates ~n_qubits a_gates ~re:bar ~im:bai;
+  Qgate.Unitary.apply_gates ~n_qubits b_gates ~re:bar ~im:bai;
+  let finite = ref true and worst = ref 0. in
+  for i = 0 to Array.length abr - 1 do
+    let r = Float.hypot (abr.(i) -. bar.(i)) (abi.(i) -. bai.(i)) in
+    if Float.is_finite r then worst := Float.max !worst r
+    else finite := false
+  done;
+  !finite && !worst > dense_eps +. refute_margin
+
+(* the dense comparison on already-relabelled gates, support 0..n-1: the
+   probe first, and only an unrefuted pair pays for both unitaries and
+   the entrywise compare *)
+let dense_on ~n_qubits a_gates b_gates =
+  Qobs.Metrics.tick "commute.unitary";
+  if refutes ~n_qubits a_gates b_gates then begin
+    Qobs.Metrics.tick "commute.dense.refuted";
+    false
+  end
+  else begin
+    let t0 = now_if_metrics () in
+    let targets_a, ua = unitary_on_own a_gates in
+    let targets_b, ub = unitary_on_own b_gates in
+    record_since t0 "commute.dense.build.ms";
+    let t0 = now_if_metrics () in
+    let r =
+      Qnum.Cmat.commute_embedded ~eps:dense_eps ~n_qubits ~targets_a ua
+        ~targets_b ub
+    in
+    record_since t0 "commute.dense.compare.ms";
+    r
+  end
 
 type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided
 

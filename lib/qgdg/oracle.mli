@@ -75,12 +75,24 @@ val algebraic_pair :
     own both. *)
 
 val dense_on : n_qubits:int -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
-(** The dense comparison on already-relabelled gates (support 0..n-1),
-    through the content-addressed unitary cache; ticks
-    [commute.unitary]. *)
+(** The dense comparison on already-relabelled gates (support 0..n-1).
+    Refute-first: a fixed seeded probe vector v (‖v‖₁ = 1) is pushed
+    through both orders, and a residual max_i |(ABv − BAv)_i| above
+    1e-9 + 1e-7 answers [false] at once — sound, since |(Mv)_i| ≤
+    max_j |M_ij|·‖v‖₁ for M = AB − BA, so the entrywise check would fail
+    too. Otherwise (a small or non-finite residual) both own-support
+    unitaries come from the content-addressed cache and
+    {!Qnum.Cmat.commute_embedded} decides, so every answer equals the
+    unconditional entrywise check (the qcheck suite pins this).
+
+    Ticks [commute.unitary] per query and [commute.dense.refuted] per
+    probe refutation, and records [commute.dense.build.ms] /
+    [commute.dense.compare.ms] (unrefuted queries) when a metrics registry
+    is ambient. *)
 
 val unitary_on_own : Qgate.Gate.t list -> int list * Qnum.Cmat.t
-(** The block's unitary on its own sorted support (cached). *)
+(** The block's unitary on its own sorted support (cached; a cache miss
+    ticks [commute.dense.builds]). *)
 
 (** {2 Incremental diagonal-prefix scanning}
 

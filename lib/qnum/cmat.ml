@@ -419,6 +419,62 @@ let mul_embedded ~n_qubits ~targets u m =
   done;
   out
 
+let apply_embedded ~n_qubits ~targets u ~re ~im =
+  (* the same checks as {!embed_frame}, without its per-call tables:
+     this runs once per gate on the dense route's probe *)
+  let bits = Array.of_list (List.map (bit_of_qubit n_qubits) targets) in
+  let k = Array.length bits in
+  let dk = 1 lsl k in
+  if u.r <> dk || u.c <> dk then
+    invalid_arg
+      "Cmat.apply_embedded: unitary dimension does not match target count";
+  let mask =
+    Array.fold_left
+      (fun m b ->
+        if b < 0 || b >= n_qubits then
+          invalid_arg "Cmat.apply_embedded: qubit out of range";
+        if m land (1 lsl b) <> 0 then
+          invalid_arg "Cmat.apply_embedded: duplicate target";
+        m lor (1 lsl b))
+      0 bits
+  in
+  let dim = 1 lsl n_qubits in
+  if Array.length re <> dim || Array.length im <> dim then
+    invalid_arg "Cmat.apply_embedded: vector length is not 2^n_qubits";
+  (* global bit pattern of each local index (first target = most
+     significant local bit, as in {!embed_frame}) *)
+  let spread =
+    Array.init dk (fun l ->
+        let x = ref 0 in
+        Array.iteri
+          (fun pos b ->
+            if (l lsr (k - 1 - pos)) land 1 = 1 then x := !x lor (1 lsl b))
+          bits;
+        !x)
+  in
+  let ar = Array.make dk 0. and ai = Array.make dk 0. in
+  for rest = 0 to dim - 1 do
+    if rest land mask = 0 then begin
+      for l = 0 to dk - 1 do
+        ar.(l) <- re.(rest lor spread.(l));
+        ai.(l) <- im.(rest lor spread.(l))
+      done;
+      for i = 0 to dk - 1 do
+        (* no zero-skipping: every term, in ascending column order,
+           with the rounding of [Cx.add acc (Cx.mul u_ij a_j)] *)
+        let xr = ref 0. and xi = ref 0. in
+        let row = i * dk in
+        for j = 0 to dk - 1 do
+          let mr = u.re.(row + j) and mi = u.im.(row + j) in
+          xr := !xr +. ((mr *. ar.(j)) -. (mi *. ai.(j)));
+          xi := !xi +. ((mr *. ai.(j)) +. (mi *. ar.(j)))
+        done;
+        re.(rest lor spread.(i)) <- !xr;
+        im.(rest lor spread.(i)) <- !xi
+      done
+    end
+  done
+
 (* local index of a full basis index under [targets] (listed order, first
    target = most significant local bit, matching {!embed_frame}),
    tabulated for all 2^n indices *)

@@ -110,6 +110,16 @@ val mul_embedded : n_qubits:int -> targets:int list -> t -> t -> t
     block unitaries. Raises like {!embed} on bad targets, plus when [m]
     does not have 2ⁿ rows. *)
 
+val apply_embedded :
+  n_qubits:int -> targets:int list -> t -> re:float array -> im:float array -> unit
+(** [apply_embedded ~n_qubits ~targets u ~re ~im] overwrites the 2ⁿ-vector
+    with real parts [re] and imaginary parts [im] by
+    [embed ~n_qubits ~targets u] times it, in place and without
+    materializing the embedded operator — O(2ⁿ·2^k) for a k-qubit [u].
+    Every term is summed (no zero-skipping), so non-finite entries of [u]
+    always reach the output. Raises like {!embed} on bad targets, plus
+    when either array's length is not 2ⁿ. *)
+
 val commute_embedded :
   ?eps:float ->
   n_qubits:int ->

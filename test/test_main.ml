@@ -7,4 +7,5 @@ let () =
      @ Test_noise.suites @ Test_fermion.suites @ Test_tools.suites
      @ Test_pipeline.suites @ Test_passmgr.suites @ Test_properties.suites
      @ Test_qlint.suites @ Test_qflow.suites @ Test_qobs.suites
-     @ Test_qcert.suites @ Test_domlint.suites @ Test_parallel.suites)
+     @ Test_qcert.suites @ Test_domlint.suites @ Test_parallel.suites
+     @ Test_cli.suites)

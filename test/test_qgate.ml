@@ -81,7 +81,47 @@ let gate_cases =
           (Gate.common_qubits (Gate.cnot 0 1) (Gate.cnot 1 2))) ]
 
 let unitary_cases =
-  [ case "all gates unitary" (fun () ->
+  [ qcheck ~count:30 "apply_gates matches the dense unitary on a vector"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 1 + Qgraph.Rand.int rng 5 in
+        let gates =
+          random_unitary_gates rng n 12
+          @ if n >= 3 then [ Gate.ccx 2 0 1; Gate.rxx 0.7 0 2 ] else []
+        in
+        let dim = 1 lsl n in
+        let re = Array.init dim (fun _ -> Qgraph.Rand.float rng 2. -. 1.) in
+        let im = Array.init dim (fun _ -> Qgraph.Rand.float rng 2. -. 1.) in
+        let u = Unitary.of_gates ~n_qubits:n gates in
+        let expected =
+          Array.init dim (fun i ->
+              let acc = ref Qnum.Cx.zero in
+              for j = 0 to dim - 1 do
+                acc :=
+                  Qnum.Cx.add !acc
+                    (Qnum.Cx.mul (Qnum.Cmat.get u i j) (Qnum.Cx.make re.(j) im.(j)))
+              done;
+              !acc)
+        in
+        Unitary.apply_gates ~n_qubits:n gates ~re ~im;
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i z ->
+               Qnum.Cx.abs (Qnum.Cx.sub z (Qnum.Cx.make re.(i) im.(i))) < 1e-9)
+             expected));
+    case "apply_gates propagates non-finite gate entries" (fun () ->
+        let re = [| 0.5; 0.5 |] and im = [| 0.; 0. |] in
+        Unitary.apply_gates ~n_qubits:1 [ Gate.rz infinity 0 ] ~re ~im;
+        check_bool "nan reaches the vector" true
+          (Array.exists (fun x -> not (Float.is_finite x)) re));
+    case "apply_gates rejects a wrong-length vector" (fun () ->
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Cmat.apply_embedded: vector length is not 2^n_qubits")
+          (fun () ->
+            Unitary.apply_gates ~n_qubits:2 [ Gate.h 0 ] ~re:[| 1.; 0. |]
+              ~im:[| 0.; 0. |]));
+    case "all gates unitary" (fun () ->
         List.iter
           (fun kind ->
             check_bool "unitary" true
@@ -294,6 +334,25 @@ let qasm_cases =
         Alcotest.check_raises "raises"
           (Qasm.Parse_error "unsupported statement \"bogus q[0]\"") (fun () ->
             ignore (Qasm.of_string "qreg q[2]; bogus q[0];")));
+    case "non-finite angles raise" (fun () ->
+        List.iter
+          (fun angle ->
+            check_bool angle true
+              (try
+                 ignore
+                   (Qasm.of_string
+                      (Printf.sprintf "qreg q[1]; rz(%s) q[0];" angle));
+                 false
+               with Qasm.Parse_error _ -> true))
+          [ "1e400"; "-1e400"; "1e300*1e300"; "1/0"; "nan" ]);
+    case "non-finite gate-definition argument raises" (fun () ->
+        check_bool "raises" true
+          (try
+             ignore
+               (Qasm.of_string
+                  "gate g(a) x { rz(a*a) x; } qreg q[1]; g(1e200) q[0];");
+             false
+           with Qasm.Parse_error _ -> true));
     case "unknown register raises" (fun () ->
         check_bool "raises parse error" true
           (try

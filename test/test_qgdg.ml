@@ -32,6 +32,37 @@ let random_cnot_rz_gates rng n depth =
       if Qgraph.Rand.bool rng then Gate.rz (Qgraph.Rand.float rng 6.28) q
       else Gate.cnot q ((q + 1 + Qgraph.Rand.int rng (n - 1)) mod n))
 
+(* the unconditional entrywise decision the refute-first dense route must
+   reproduce: both own-support unitaries, then the embedded compare *)
+let full_dense ~n_qubits a b =
+  let targets_a, ua = Oracle.unitary_on_own a in
+  let targets_b, ub = Oracle.unitary_on_own b in
+  Qnum.Cmat.commute_embedded ~eps:1e-9 ~n_qubits ~targets_a ua ~targets_b ub
+
+let dagger gs = List.rev_map Gate.adjoint gs
+
+(* a random diagonal layer on 0..n-1 *)
+let random_diagonal rng n =
+  List.init (1 + Qgraph.Rand.int rng 3) (fun _ ->
+      let q = Qgraph.Rand.int rng n in
+      let theta = Qgraph.Rand.float rng 6.28 in
+      if n >= 2 && Qgraph.Rand.bool rng then
+        Gate.rzz theta q ((q + 1 + Qgraph.Rand.int rng (n - 1)) mod n)
+      else Gate.rz theta q)
+
+(* U·D1·U† and U·D2·R·U† for a random U on 0..n-1: the pair commutes
+   exactly when R is empty, and its commutator is of order [delta] when
+   R = Rx(delta) *)
+let conjugated_pair rng ?delta n =
+  let u = random_unitary_gates rng n (2 + Qgraph.Rand.int rng 6) in
+  let tail =
+    match delta with
+    | None -> []
+    | Some d -> [ Gate.rx d (Qgraph.Rand.int rng n) ]
+  in
+  ( u @ random_diagonal rng n @ dagger u,
+    u @ random_diagonal rng n @ tail @ dagger u )
+
 let qaoa_triangle () =
   Gdg.of_circuit ~latency:unit_latency (Qapps.Qaoa.triangle_example ())
 
@@ -119,6 +150,60 @@ let commute_cases =
         let a = random_cnot_rz_gates rng n 6 in
         let b = random_cnot_rz_gates rng n 6 in
         Commute.blocks a b = Commute.dense_commute a b);
+    (* the refute-first probe inside [dense_on] may only ever answer
+       false where the entrywise check does: pin its decision against
+       the unconditional check on general blocks of width 1–8 (mostly
+       non-commuting, so the probe settles them), on exactly commuting
+       conjugated pairs, and on pairs whose commutator is swept across
+       the 1e-9 tolerance *)
+    qcheck ~count:40 "dense_on matches the full check on general blocks"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 1 + Qgraph.Rand.int rng 8 in
+        let a = random_unitary_gates rng n (1 + Qgraph.Rand.int rng 8) in
+        let b = random_unitary_gates rng n (1 + Qgraph.Rand.int rng 8) in
+        Oracle.dense_on ~n_qubits:n a b = full_dense ~n_qubits:n a b);
+    qcheck ~count:20 "dense_on matches the full check on commuting pairs"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 1 + Qgraph.Rand.int rng 8 in
+        let a, b = conjugated_pair rng n in
+        let r = Oracle.dense_on ~n_qubits:n a b in
+        r && r = full_dense ~n_qubits:n a b);
+    qcheck ~count:45 "dense_on matches the full check across eps"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 1 + Qgraph.Rand.int rng 8 in
+        let delta = List.nth [ 1e-7; 1e-9; 1e-11 ] (seed mod 3) in
+        let a, b = conjugated_pair rng ~delta n in
+        Oracle.dense_on ~n_qubits:n a b = full_dense ~n_qubits:n a b);
+    case "dense_on: the probe settles non-commuting pairs" (fun () ->
+        let m = Qobs.Metrics.create () in
+        let pairs =
+          [ ([ Gate.h 0 ], [ Gate.x 0 ]);
+            ([ Gate.cnot 0 1; Gate.rx 0.4 1 ], [ Gate.h 1; Gate.cnot 1 2 ]);
+            (zz 0 1 @ [ Gate.h 1 ], zz 1 2 @ [ Gate.ry 1.3 2 ]) ]
+        in
+        Qobs.Metrics.with_ambient m (fun () ->
+            List.iter
+              (fun (a, b) ->
+                check_bool "non-commuting" false (Oracle.dense_on ~n_qubits:3 a b))
+              pairs;
+            check_bool "commuting" true
+              (Oracle.dense_on ~n_qubits:2 (zz 0 1) [ Gate.rz 0.3 1 ]));
+        check_int "refuted" 3 (Qobs.Metrics.counter_value m "commute.dense.refuted");
+        check_int "queries" 4 (Qobs.Metrics.counter_value m "commute.unitary"));
+    case "dense_on: a nan residual never refutes" (fun () ->
+        let a = [ Gate.rz infinity 0; Gate.h 0 ] and b = [ Gate.x 0 ] in
+        let m = Qobs.Metrics.create () in
+        let r =
+          Qobs.Metrics.with_ambient m (fun () -> Oracle.dense_on ~n_qubits:1 a b)
+        in
+        check_bool "same as the full check" (full_dense ~n_qubits:1 a b) r;
+        check_int "refuted" 0 (Qobs.Metrics.counter_value m "commute.dense.refuted"));
     case "blocks: anti-commuting Paulis rejected" (fun () ->
         check_bool "x vs z" false (Commute.blocks [ Gate.x 0 ] [ Gate.z 0 ]);
         check_bool "x vs y" false (Commute.blocks [ Gate.x 0 ] [ Gate.y 0 ]);
