@@ -442,6 +442,16 @@ let profile_cmd =
         metric_row "agg attempted" (counter "agg.attempted");
         metric_row "agg accepted" (counter "agg.accepted");
         metric_row "agg vetoed" (counter "agg.vetoed_monotonic");
+        (* the aggregate pass split by kind of upkeep (Σ ms per phase) *)
+        List.iter
+          (fun phase ->
+            metric_row ("phase " ^ phase) (fun (_, _, m) ->
+                match
+                  Qobs.Metrics.hist_value m ("agg.phase." ^ phase ^ ".ms")
+                with
+                | Some h -> Printf.sprintf "%.3f" h.Qobs.Metrics.sum
+                | None -> "-"))
+          [ "groups"; "slack"; "universe"; "score" ];
         Printf.printf "%!")
       bench_cells
     in

@@ -9,8 +9,8 @@
     which shortens blocks and may unlock further monotonic actions — the
     outer loop iterates to convergence.
 
-    Slack-based monotonicity: with ASAP starts and ALAP deadlines computed
-    once per round, the merged block (placed at the earlier member's
+    Slack-based monotonicity: with ASAP starts and ALAP deadlines kept
+    current, the merged block (placed at the earlier member's
     start, delayed by the later member's other-qubit predecessors) must
     still meet every successor's latest start and the overall makespan.
     [pessimism] selects the duration used in that check: [`Serial] (the
@@ -39,15 +39,16 @@ val run :
     scalability bound, §2.5); [max_rounds] to 8. [cost] maps a member-gate
     block to its optimized pulse time.
 
-    The search is incremental: after each accepted merge the ASAP/ALAP
-    slack tables are re-propagated only through the merged node's affected
-    cone, the chain-position and successor tables are patched for the
-    merged support's chains, and the candidate universe is invalidated
-    only for pairs both of whose endpoints act on those chains — a pair's
-    candidacy reads nothing else, so everything outside that window is
-    provably unchanged. The cycle check inside {!Qgdg.Gdg.merge} runs as a
+    The search is incremental: after each accepted merge the
+    {!Qgdg.Sched_view} patches chain links, ASAP times and tail lengths
+    (ALAP start = makespan − tail) around the merge, commutation groups
+    are resynced in a window of the merged support's chains, and the
+    candidate universe is invalidated only for pairs whose endpoints act
+    on those chains. The cycle check inside {!Qgdg.Gdg.merge} runs as a
     bounded reachability probe using the ASAP starts as ranks. The
-    accepted-merge sequence is identical to {!run_reference}'s. *)
+    accepted-merge sequence is identical to {!run_reference}'s. With an
+    enabled ambient metrics registry the pass records
+    [agg.phase.{groups,slack,universe,score}.ms]. *)
 
 val run_reference :
   ?width_limit:int ->

@@ -356,11 +356,15 @@ let of_string text =
         (match String.index_opt operands '[' with
          | Some lb when operands.[String.length operands - 1] = ']' ->
            if !reg <> None then fail "multiple qreg declarations";
-           reg := Some (String.sub operands 0 lb);
+           let name = String.sub operands 0 lb in
+           reg := Some name;
            (match
               int_of_string_opt
                 (String.sub operands (lb + 1) (String.length operands - lb - 2))
             with
+            | Some n when n <= 0 ->
+              fail "qreg %s has size %d; a register needs at least one qubit"
+                name n
             | Some n -> size := n
             | None -> fail "bad qreg size in %S" stmt)
          | _ -> fail "bad qreg declaration %S" stmt)

@@ -53,10 +53,60 @@ let set_qubit t q ordered =
         group)
     ordered
 
+(* Resync of one qubit's groups after its chain changed. Greedy grouping
+   decides each element from the elements of the group it would join, so
+   - an old group whose members and breaker (the element that closed it)
+     lie in the common prefix of the old and new chains stays, and the
+     next group opens where it did;
+   - from a group opening inside the common suffix, greedy sees what it
+     saw before, so if an old group opened at the same element, it and
+     every later old group stay.
+   Only the window between is rescanned and resolved. Every pair a full
+   rescan probes outside it was probed when the old groups were built, so
+   a memoized [commute] sees the same first-time queries. *)
+let refresh_qubit commute t g q =
+  let old = Array.of_list (List.concat t.per_qubit.(q)) in
+  let cur = Array.of_list (Gdg.chain_ids g q) in
+  let lo = Array.length old and ln = Array.length cur in
+  let k = ref 0 and m = ref 0 in
+  while !k < min lo ln && old.(!k) = cur.(!k) do incr k done;
+  while !k + !m < min lo ln && old.(lo - 1 - !m) = cur.(ln - 1 - !m) do
+    incr m
+  done;
+  (* kept groups, and the old groups from old index [s] on *)
+  let rec keep kept s = function
+    | grp :: rest when s + List.length grp < !k ->
+      keep (grp :: kept) (s + List.length grp) rest
+    | rest -> (kept, s, rest)
+  in
+  let kept, resume, rest = keep [] 0 t.per_qubit.(q) in
+  let rec old_from s j = function
+    | grp :: rest when s < j -> old_from (s + List.length grp) j rest
+    | groups when s = j && groups <> [] -> Some groups
+    | _ -> None
+  in
+  (* [acc]: closed new groups, reversed; [current]: the open one *)
+  let rec scan i acc current =
+    let close () =
+      if current = [] then acc
+      else List.rev_map (fun (x : Inst.t) -> x.Inst.id) current :: acc
+    in
+    if i >= ln then List.rev (close ())
+    else
+      let inst = Gdg.find g cur.(i) in
+      if current <> [] && List.for_all (fun p -> commute p inst) current then
+        scan (i + 1) acc (inst :: current)
+      else
+        match
+          if i >= ln - !m then old_from resume (i + lo - ln) rest else None
+        with
+        | Some reused -> List.rev_append (close ()) reused
+        | None -> scan (i + 1) (close ()) [ inst ]
+  in
+  if old <> cur then set_qubit t q (List.rev_append kept (scan resume [] []))
+
 let refresh ?(commute = Commute.insts) t g ~qubits =
-  List.iter
-    (fun q -> set_qubit t q (groups_of_chain commute g (Gdg.chain g q)))
-    (List.sort_uniq compare qubits)
+  List.iter (refresh_qubit commute t g) (List.sort_uniq compare qubits)
 
 (* The default build routes every pairwise check through the oracle with
    a per-build summary cache keyed by instruction id — ids are unique and
@@ -88,7 +138,9 @@ let build ?commute g =
       nq;
       index = Array.make (max 1 (Gdg.fresh_id g) * nq) (-1) }
   in
-  refresh ~commute t g ~qubits:(List.init n (fun q -> q));
+  for q = 0 to n - 1 do
+    set_qubit t q (groups_of_chain commute g (Gdg.chain g q))
+  done;
   t
 
 let build_reference g = build ~commute:Commute.insts_reference g

@@ -31,9 +31,11 @@ val build_reference : Gdg.t -> t
 
 val refresh :
   ?commute:(Inst.t -> Inst.t -> bool) -> t -> Gdg.t -> qubits:int list -> unit
-(** Recompute the groups of the listed qubits only — a merge changes
-    membership solely on the merged instruction's support, so the
-    aggregator refreshes incrementally instead of rebuilding all chains. *)
+(** Resync the groups of the listed qubits with their current chains — a
+    merge changes membership solely on the merged instruction's support.
+    Groups in the common prefix and suffix of the old and new chain are
+    kept; only the window between is rescanned. The result equals
+    {!build}'s on every chain. *)
 
 val groups_on : t -> int -> int list list
 (** Ordered groups (of instruction ids) on a qubit. *)

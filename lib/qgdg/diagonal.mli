@@ -7,8 +7,8 @@
     commutativity-aware scheduler's freedom. Runs are limited to 2 qubits
     (to preserve parallelism) and [max_run_gates] member gates.
 
-    The production path runs on the commutation oracle ({!Oracle}): flat
-    per-qubit frontier tables replace the per-query chain walks, each
+    The production path runs on the commutation oracle ({!Oracle}): the
+    flat chain tables of a {!Sched_view} replace per-query chain walks, each
     run's prefixes are decided by one incremental phase-polynomial scan
     (digest-memoized per congruence class, attributed to
     [detect.route.*]), merges are validated by bounded reachability

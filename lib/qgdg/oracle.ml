@@ -178,16 +178,12 @@ let route_tableau = ("commute.route.tableau", "commute.route.tableau.ms")
 let route_dense = ("commute.route.dense", "commute.route.dense.ms")
 let route_oversize = ("commute.route.oversize", "commute.route.oversize.ms")
 
-let record_since t0 hist =
-  Option.iter
-    (fun t0 -> Qobs.Metrics.record hist (Qobs.Clock.elapsed_ns t0 /. 1e6))
-    t0
-
 let route (name, hist) t0 =
-  if Option.is_some t0 then begin
-    Qobs.Metrics.tick name;
-    record_since t0 hist
-  end
+  Option.iter
+    (fun t0 ->
+      Qobs.Metrics.tick name;
+      Qobs.Metrics.record hist (Qobs.Clock.elapsed_ns t0 /. 1e6))
+    t0
 
 (* ---- the dense route ---- *)
 
@@ -244,17 +240,14 @@ let dense_on ~n_qubits a_gates b_gates =
     false
   end
   else begin
-    let t0 = now_if_metrics () in
-    let targets_a, ua = unitary_on_own a_gates in
-    let targets_b, ub = unitary_on_own b_gates in
-    record_since t0 "commute.dense.build.ms";
-    let t0 = now_if_metrics () in
-    let r =
-      Qnum.Cmat.commute_embedded ~eps:dense_eps ~n_qubits ~targets_a ua
-        ~targets_b ub
+    let (targets_a, ua), (targets_b, ub) =
+      Qobs.Metrics.timed "commute.dense.build.ms" (fun () ->
+          let own_a = unitary_on_own a_gates in
+          (own_a, unitary_on_own b_gates))
     in
-    record_since t0 "commute.dense.compare.ms";
-    r
+    Qobs.Metrics.timed "commute.dense.compare.ms" (fun () ->
+        Qnum.Cmat.commute_embedded ~eps:dense_eps ~n_qubits ~targets_a ua
+          ~targets_b ub)
   end
 
 type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided

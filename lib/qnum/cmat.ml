@@ -184,11 +184,25 @@ let frobenius_norm m =
   done;
   Float.sqrt !acc
 
+(* Every comparison with [nan] is false, so a tolerance test such as
+   [max_abs_diff a b <= eps] would pass vacuously on a non-finite entry
+   (Rz ∞ would equal I, Z and H up to phase). The comparisons below
+   refute on any non-finite entry instead. *)
+let all_finite m =
+  let ok = ref true and k = ref 0 in
+  let n = Array.length m.re in
+  while !ok && !k < n do
+    ok := Float.is_finite m.re.(!k) && Float.is_finite m.im.(!k);
+    incr k
+  done;
+  !ok
+
 let equal ?(eps = 1e-9) a b =
-  a.r = b.r && a.c = b.c && max_abs_diff a b <= eps
+  a.r = b.r && a.c = b.c && all_finite a && all_finite b
+  && max_abs_diff a b <= eps
 
 let equal_up_to_phase ?(eps = 1e-9) a b =
-  a.r = b.r && a.c = b.c
+  a.r = b.r && a.c = b.c && all_finite a && all_finite b
   &&
   (* find the entry of largest modulus in b and align phases there *)
   let best = ref 0 and best_abs = ref (-1.) in
@@ -235,6 +249,8 @@ let is_diagonal ?(eps = 1e-9) m =
 let commute ?(eps = 1e-9) a b =
   if a.r <> a.c || b.r <> b.c || a.r <> b.r then
     invalid_arg "Cmat.commute: dimension mismatch";
+  all_finite a && all_finite b
+  &&
   (* entry-by-entry comparison of a·b and b·a with early exit: each entry
      of the products is one row·column product, and a non-commuting pair
      reveals a violating entry almost immediately, so the quadratic scan
@@ -520,6 +536,8 @@ let commute_embedded ?(eps = 1e-9) ~n_qubits ~targets_a ua ~targets_b ub =
   in
   let mask_a, spread_a, loc_a = frame targets_a ua in
   let mask_b, spread_b, loc_b = frame targets_b ub in
+  all_finite ua && all_finite ub
+  &&
   let n = 1 lsl n_qubits in
   let da = ua.c and db = ub.c in
   let ok = ref true in

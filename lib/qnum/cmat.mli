@@ -68,7 +68,9 @@ val max_abs_diff : t -> t -> float
 val frobenius_norm : t -> float
 
 val equal : ?eps:float -> t -> t -> bool
-(** Entrywise comparison with absolute tolerance (default [1e-9]). *)
+(** Entrywise comparison with absolute tolerance (default [1e-9]).
+    [false] when either matrix has a non-finite entry, as for
+    {!equal_up_to_phase}, {!commute} and {!commute_embedded}. *)
 
 val equal_up_to_phase : ?eps:float -> t -> t -> bool
 (** [equal_up_to_phase a b] holds when [a = exp(iφ)·b] for some global
@@ -80,7 +82,7 @@ val is_hermitian : ?eps:float -> t -> bool
 val is_diagonal : ?eps:float -> t -> bool
 
 val commute : ?eps:float -> t -> t -> bool
-(** [commute a b] tests [a*b = b*a]. *)
+(** [commute a b] tests [a*b = b*a]; [false] on a non-finite entry. *)
 
 val det : t -> Cx.t
 (** Determinant via LU decomposition with partial pivoting. *)
@@ -133,8 +135,8 @@ val commute_embedded :
     operator: each row·column term sum only visits the structurally
     nonzero entries, so the cost is O(4ⁿ·(2^ka + 2^kb)) instead of O(8ⁿ).
     Term order and zero-skipping match {!commute} on the embedded
-    matrices, so the two always return the same answer. Raises like
-    {!embed} on bad targets. *)
+    matrices, so the two always return the same answer; [false] on a
+    non-finite entry. Raises like {!embed} on bad targets. *)
 
 val permute_qubits : int array -> t -> t
 (** [permute_qubits perm u] relabels the qubits of a 2ⁿ×2ⁿ matrix:

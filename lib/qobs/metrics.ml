@@ -243,3 +243,13 @@ let record name v =
 let set name v =
   let t = ambient () in
   if t.enabled then gauge t name v
+
+let timed name f =
+  let t = ambient () in
+  if not t.enabled then f ()
+  else begin
+    let t0 = Clock.now_ns () in
+    let r = f () in
+    observe t name (Clock.elapsed_ns t0 /. 1e6);
+    r
+  end

@@ -100,3 +100,8 @@ val record : string -> float -> unit
 
 val set : string -> float -> unit
 (** [gauge] on the ambient registry. *)
+
+val timed : string -> (unit -> 'a) -> 'a
+(** [timed name f] runs [f] and records its wall time in milliseconds
+    as a histogram sample on the ambient registry. The clock is read
+    only when that registry is enabled. *)

@@ -466,9 +466,127 @@ let diagonal_cases =
               (Qsched.Cls.makespan g_ref) (Qsched.Cls.makespan g_new))
           Qapps.Suite.all) ]
 
+(* ---- the shared incremental schedule view ---- *)
+
+(* A GDG for the view pins: a random circuit or a window of a suite
+   circuit, with latencies drawn from a small set that includes 0 so
+   zero-latency ties occur. *)
+let view_gdg rng =
+  let latencies = [| 0.; 0.5; 1.; 2.5 |] in
+  let latency _ = latencies.(Qgraph.Rand.int rng 4) in
+  let circuit =
+    if Qgraph.Rand.bool rng then
+      let n = 2 + Qgraph.Rand.int rng 4 in
+      Circuit.make n (random_unitary_gates rng n (10 + Qgraph.Rand.int rng 40))
+    else
+      let names = [| "maxcut-line"; "uccsd-n4"; "sqrt-n3"; "ising-n30" |] in
+      let name = names.(Qgraph.Rand.int rng 4) in
+      let c = Qapps.Suite.lowered (Qapps.Suite.find name) in
+      let k = 40 + Qgraph.Rand.int rng 80 in
+      Circuit.make (Circuit.n_qubits c)
+        (List.filteri (fun i _ -> i < k) (Circuit.gates c))
+  in
+  (Gdg.of_circuit ~latency circuit, latency)
+
+(* One random merge attempt: a random node with, mostly, its chain
+   successor on one of its qubits, otherwise any other node. Cyclic
+   merges are refused by Gdg.merge and skipped. *)
+let random_merge rng g ~merge =
+  let ids = List.map (fun (i : Inst.t) -> i.Inst.id) (Gdg.insts g) in
+  let n = List.length ids in
+  if n >= 2 then begin
+    let a = List.nth ids (Qgraph.Rand.int rng n) in
+    let ia = Gdg.find g a in
+    let qs = ia.Inst.qubits in
+    let q = List.nth qs (Qgraph.Rand.int rng (List.length qs)) in
+    let b =
+      match Gdg.succ_on g a ~qubit:q with
+      | Some s when Qgraph.Rand.int rng 4 > 0 -> s.Inst.id
+      | _ -> List.nth ids (Qgraph.Rand.int rng n)
+    in
+    if a <> b then merge a b
+  end
+
+let bits = Int64.bits_of_float
+
+let view_matches_build (v : Sched_view.t) g =
+  let fresh = Sched_view.build ~full:true g in
+  let nq = fresh.Sched_view.nq in
+  let ok = ref (bits v.Sched_view.makespan = bits fresh.Sched_view.makespan) in
+  for id = 0 to Gdg.next_id g - 1 do
+    for q = 0 to nq - 1 do
+      let k = (id * nq) + q in
+      ok :=
+        !ok
+        && v.Sched_view.pred.(k) = fresh.Sched_view.pred.(k)
+        && v.Sched_view.succ.(k) = fresh.Sched_view.succ.(k)
+        && v.Sched_view.pos.(k) = fresh.Sched_view.pos.(k)
+    done;
+    ok :=
+      !ok
+      && bits v.Sched_view.start.(id) = bits fresh.Sched_view.start.(id)
+      && bits v.Sched_view.finish.(id) = bits fresh.Sched_view.finish.(id)
+      && bits v.Sched_view.tail.(id) = bits fresh.Sched_view.tail.(id)
+  done;
+  !ok
+
+let sched_view_cases =
+  [ qcheck ~count:60 "incremental view equals a fresh build after merges"
+      QCheck.(int_range 0 100000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let g, latency = view_gdg rng in
+        let v = Sched_view.build ~full:true g in
+        let ok = ref (view_matches_build v g) in
+        for _ = 1 to 5 + Qgraph.Rand.int rng 25 do
+          random_merge rng g ~merge:(fun a b ->
+              match
+                Gdg.merge g ~rank:(Sched_view.rank v) ~latency:(latency ()) a b
+              with
+              | exception Invalid_argument _ -> ()
+              | merged ->
+                Sched_view.after_merge v ~a ~b merged;
+                (* tails are also brought up after several merges at once *)
+                if Qgraph.Rand.int rng 3 > 0 then begin
+                  Sched_view.update_tails v;
+                  ok := !ok && view_matches_build v g
+                end)
+        done;
+        Sched_view.update_tails v;
+        !ok && view_matches_build v g);
+    qcheck ~count:60 "windowed group refresh equals the full greedy scan"
+      QCheck.(int_range 0 100000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let g, latency = view_gdg rng in
+        let groups = Comm_group.build ~commute:Commute.insts g in
+        let ok = ref true in
+        for _ = 1 to 5 + Qgraph.Rand.int rng 25 do
+          random_merge rng g ~merge:(fun a b ->
+              match Gdg.merge g ~latency:(latency ()) a b with
+              | exception Invalid_argument _ -> ()
+              | merged ->
+                Comm_group.refresh ~commute:Commute.insts groups g
+                  ~qubits:merged.Inst.qubits;
+                let full = Comm_group.build ~commute:Commute.insts g in
+                for q = 0 to Gdg.n_qubits g - 1 do
+                  ok :=
+                    !ok
+                    && Comm_group.groups_on groups q
+                       = Comm_group.groups_on full q
+                    && List.for_all
+                         (fun id ->
+                           Comm_group.lookup groups ~qubit:q id
+                           = Comm_group.lookup full ~qubit:q id)
+                         (Gdg.chain_ids g q)
+                done)
+        done;
+        !ok) ]
+
 let suites =
   [ ("qgdg.inst", inst_cases);
     ("qgdg.commute", commute_cases);
     ("qgdg.gdg", gdg_cases);
     ("qgdg.comm_group", comm_group_cases);
-    ("qgdg.diagonal", diagonal_cases) ]
+    ("qgdg.diagonal", diagonal_cases);
+    ("qgdg.sched_view", sched_view_cases) ]

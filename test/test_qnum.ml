@@ -230,7 +230,32 @@ let cmat_cases =
     qcheck ~count:30 "unitary products stay unitary" QCheck.(int_range 0 10000)
       (fun seed ->
         let u = random_unitary (Qgraph.Rand.create seed) 2 10 in
-        Cmat.is_unitary ~eps:1e-8 u) ]
+        Cmat.is_unitary ~eps:1e-8 u);
+    (* every comparison with nan is false, so a tolerance test passes
+       vacuously on a non-finite entry unless it refutes explicitly *)
+    case "Rz inf equals nothing up to phase" (fun () ->
+        let m g = Qgate.Unitary.of_gates ~n_qubits:1 [ g ] in
+        let rz_inf = m (Qgate.Gate.rz infinity 0) in
+        List.iter
+          (fun (name, u) ->
+            check_bool ("not " ^ name) false (Cmat.equal_up_to_phase rz_inf u);
+            check_bool ("not entrywise " ^ name) false (Cmat.equal rz_inf u))
+          [ ("I", Cmat.identity 2); ("Z", m (Qgate.Gate.z 0));
+            ("H", m (Qgate.Gate.h 0)) ];
+        check_bool "not even itself" false (Cmat.equal rz_inf rz_inf));
+    case "Rz inf commutes with nothing" (fun () ->
+        let m g = Qgate.Unitary.of_gates ~n_qubits:1 [ g ] in
+        let rz_inf = m (Qgate.Gate.rz infinity 0) in
+        let h = m (Qgate.Gate.h 0) in
+        check_bool "dense" false (Cmat.commute rz_inf h);
+        check_bool "dense with I" false (Cmat.commute rz_inf (Cmat.identity 2));
+        check_bool "embedded" false
+          (Cmat.commute_embedded ~n_qubits:2 ~targets_a:[ 0 ] rz_inf
+             ~targets_b:[ 1 ] h);
+        (* finite inputs decide as before *)
+        check_bool "finite embedded" true
+          (Cmat.commute_embedded ~n_qubits:2 ~targets_a:[ 0 ]
+             (m (Qgate.Gate.rz 0.3 0)) ~targets_b:[ 1 ] h)) ]
 
 (* --- Expm --- *)
 
