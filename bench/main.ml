@@ -411,8 +411,7 @@ let pipeline () =
         (* cold commutation memos per circuit so the recorded times do
            not depend on which benchmarks ran earlier in the process —
            the perf gate resets the same way before re-measuring *)
-        Qgdg.Commute.reset_memos ();
-        Qflow.Summary.reset_memo ();
+        Qgdg.Oracle.reset_memos ();
         (* one stage cache per circuit, as compile_all would use: the
            pipeline.cache.{hit,miss} counters land in each entry's
            metrics *)
@@ -698,8 +697,7 @@ let perf_gate () =
       (fun bench ->
         let circuit = Qapps.Suite.lowered (Qapps.Suite.find bench) in
         (* cold memos, as when the baseline was recorded *)
-        Qgdg.Commute.reset_memos ();
-        Qflow.Summary.reset_memo ();
+        Qgdg.Oracle.reset_memos ();
         let cache = Qcc.Pipeline.Cache.create () in
         List.iter
           (fun strategy ->
@@ -936,8 +934,8 @@ let certify_overhead () =
 (* Parallel smoke: 4 domains, disjoint benchmark×strategy compiles     *)
 
 (* Runtime proof behind the domlint gate: four domains compile disjoint
-   benchmark×strategy jobs concurrently — per-domain memos (Commute /
-   Summary / Latency_model), per-domain ambient metrics shards, and one
+   benchmark×strategy jobs concurrently — per-domain memos (Oracle /
+   Latency_model), per-domain ambient metrics shards, and one
    SHARED mutex-guarded stage cache — and every latency, merge count and
    certificate digest must be byte-identical to a cold sequential run of
    the same jobs. The lazy suite circuits are forced on the main domain

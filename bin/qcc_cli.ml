@@ -436,22 +436,44 @@ let profile_cmd =
         let counter name (_, _, m) =
           string_of_int (Qobs.Metrics.counter_value m name)
         in
-        metric_row "commute fast" (counter "commute.fast_path");
-        metric_row "commute dense" (counter "commute.unitary");
+        (* every commutation query not settled by the dense route or the
+           width cap *)
+        metric_row "commute fast" (fun (_, _, m) ->
+            string_of_int
+              (List.fold_left
+                 (fun acc r ->
+                   acc + Qobs.Metrics.counter_value m ("commute.route." ^ r))
+                 0
+                 [ "structural"; "memo"; "phase_poly"; "tableau" ]));
+        metric_row "commute dense" (counter "commute.route.dense");
         metric_row "dense refuted" (counter "commute.dense.refuted");
         metric_row "agg attempted" (counter "agg.attempted");
         metric_row "agg accepted" (counter "agg.accepted");
         metric_row "agg vetoed" (counter "agg.vetoed_monotonic");
-        (* the aggregate pass split by kind of upkeep (Σ ms per phase) *)
+        (* the aggregate pass split by kind of upkeep (Σ ms per phase),
+           then the share of the aggregate span no phase covers *)
+        let phases = [ "groups"; "slack"; "universe"; "score" ] in
+        let phase_ms m phase =
+          Option.map
+            (fun h -> h.Qobs.Metrics.sum)
+            (Qobs.Metrics.hist_value m ("agg.phase." ^ phase ^ ".ms"))
+        in
         List.iter
           (fun phase ->
             metric_row ("phase " ^ phase) (fun (_, _, m) ->
-                match
-                  Qobs.Metrics.hist_value m ("agg.phase." ^ phase ^ ".ms")
-                with
-                | Some h -> Printf.sprintf "%.3f" h.Qobs.Metrics.sum
+                match phase_ms m phase with
+                | Some ms -> Printf.sprintf "%.3f" ms
                 | None -> "-"))
-          [ "groups"; "slack"; "universe"; "score" ];
+          phases;
+        metric_row "phase rest" (fun (_, r, m) ->
+            match span_ms r "aggregate" with
+            | None -> "-"
+            | Some total ->
+              Printf.sprintf "%.3f"
+                (List.fold_left
+                   (fun acc phase ->
+                     acc -. Option.value ~default:0. (phase_ms m phase))
+                   total phases));
         Printf.printf "%!")
       bench_cells
     in
@@ -686,7 +708,6 @@ let analyze_cmd =
     let cfg = config topology width arch in
     let metrics = Qobs.Metrics.create () in
     Qobs.Metrics.with_ambient metrics @@ fun () ->
-    Qflow.Summary.reset_memo ();
     let cr = Qflow.Analysis.circuit circuit in
     let gdg =
       Qgdg.Gdg.of_circuit

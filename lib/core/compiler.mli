@@ -176,8 +176,8 @@ val speedup : baseline:result -> result -> float
 
 val reset_all_memos : unit -> unit
 (** Return the {e calling domain} to a cold start: clears the commutation
-    decision/unitary memos ([Qgdg.Commute]), the block-summary and pair
-    memos ([Qflow.Summary]) and the latency-cost memos
-    ([Qcontrol.Latency_model]) — all per-domain tables. Idempotent; a
-    compile after reset reports the same cache-miss counters as a fresh
-    process. *)
+    oracle's classification, pair, diagonal and unitary memos
+    ([Qgdg.Oracle], the only commutation memos) and the latency-cost
+    memos ([Qcontrol.Latency_model]) — all per-domain tables.
+    Idempotent; a compile after reset reports the same cache-miss
+    counters as a fresh process. *)

@@ -412,7 +412,7 @@ let run_reference ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model)
     match Hashtbl.find_opt commute_cache key with
     | Some v -> v
     | None ->
-      let v = Qgdg.Commute.insts x y in
+      let v = Qgdg.Oracle.blocks x.Inst.gates y.Inst.gates in
       Hashtbl.replace commute_cache key v;
       v
   in

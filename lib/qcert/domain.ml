@@ -1,4 +1,6 @@
 module Gate = Qgate.Gate
+module Phase_poly = Qdomain.Phase_poly
+module Tableau = Qdomain.Tableau
 
 type verdict = Proved | Refuted | Unknown
 

@@ -3,6 +3,7 @@ module Circuit = Qgate.Circuit
 module Inst = Qgdg.Inst
 module Gdg = Qgdg.Gdg
 module D = Qlint.Diagnostic
+module Phase_poly = Qdomain.Phase_poly
 
 type ctx = {
   strategy : string;

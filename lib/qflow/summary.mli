@@ -11,7 +11,9 @@
     domain, and the detect pass, CLS grouping and this layer share the
     table. Cache traffic is observable through the ambient metrics
     registry as [qflow.summary.hit] / [qflow.summary.miss]
-    (see {!Qobs.Metrics}). *)
+    (see {!Qobs.Metrics}); [qcc analyze] prints it. Whether two blocks
+    commute is the oracle's question alone
+    ({!Qgdg.Oracle.algebraic_blocks} for the QL070 lint). *)
 
 type klass = Qgdg.Oracle.klass =
   | Identity  (** provably identity up to global phase *)
@@ -34,26 +36,3 @@ type t = Qgdg.Oracle.t = {
 
 val of_gates : Qgate.Gate.t list -> t
 val of_inst : Qgdg.Inst.t -> t
-
-val commutes : a:Qgate.Gate.t list -> b:Qgate.Gate.t list -> t -> t -> bool option
-(** [commutes ~a ~b sa sb]: do the blocks commute as operators, decided
-    {e algebraically only} — disjoint supports, diagonal×diagonal, the
-    phase-polynomial domain (exact), or the tableau domain (up to a
-    statevector-column global-phase tie-break)? [None] when the pair
-    escapes all of these (no dense fallback here — see
-    {!Qgdg.Commute} for the full decision procedure). Decisions are
-    memoized under the relabelled pair. Joint supports wider than
-    {!max_pair_width} return [None].
-
-    Every call ticks [qflow.pair.checks] and exactly one
-    [qflow.route.<r>] counter (structural / oversize / memo /
-    phase_poly / tableau / undecided) with a matching [.ms] histogram,
-    when a metrics registry is ambient. *)
-
-val max_pair_width : int
-(** Joint-support cap for pairwise algebraic checks (12). *)
-
-val reset_memo : unit -> unit
-(** Clear the process-wide pair memo (tests). The shared classification
-    memo is cleared by {!Qgdg.Oracle.reset_memos} /
-    {!Qgdg.Commute.reset_memos}. *)

@@ -105,7 +105,9 @@ let refresh_qubit commute t g q =
   in
   if old <> cur then set_qubit t q (List.rev_append kept (scan resume [] []))
 
-let refresh ?(commute = Commute.insts) t g ~qubits =
+let refresh
+    ?(commute = fun a b -> Oracle.blocks a.Inst.gates b.Inst.gates) t g
+    ~qubits =
   List.iter (refresh_qubit commute t g) (List.sort_uniq compare qubits)
 
 (* The default build routes every pairwise check through the oracle with

@@ -1,14 +1,6 @@
 module Gate = Qgate.Gate
 
-let max_check_width = Oracle.max_check_width
-
 let all_diagonal gs = List.for_all (fun g -> Gate.is_diagonal_kind g.Gate.kind) gs
-
-(* order-preserving relabelling of a gate list onto 0..|support|-1 *)
-let relabel_onto support gs =
-  let local = Hashtbl.create 8 in
-  List.iteri (fun k q -> Hashtbl.replace local q k) support;
-  List.map (Gate.map_qubits (fun q -> Hashtbl.find local q)) gs
 
 let is_diagonal_block gs =
   match gs with
@@ -16,13 +8,15 @@ let is_diagonal_block gs =
   | _ when all_diagonal gs -> true
   | _ ->
     let support = List.sort_uniq compare (List.concat_map Gate.qubits gs) in
-    List.length support <= max_check_width
+    List.length support <= Oracle.max_check_width
     &&
     let n_qubits = List.length support in
     (* |x⟩ ↦ e^{iφ(x)}|Ax⊕c⟩ is diagonal iff the affine part is the
        identity, so CNOT+diagonal blocks (CNOT–Rz–CNOT contractions in
        particular) are decided without a dense unitary *)
-    (match Qdomain.Phase_poly.of_gates ~n_qubits (relabel_onto support gs) with
+    (match
+       Qdomain.Phase_poly.of_gates ~n_qubits (Oracle.relabel_onto support gs)
+     with
     | Some p -> Qdomain.Phase_poly.is_linear_identity p
     | None ->
       let _, u = Qgate.Unitary.on_support gs in
@@ -33,22 +27,19 @@ let dense_commute a_gates b_gates =
     List.sort_uniq compare
       (List.concat_map Gate.qubits a_gates @ List.concat_map Gate.qubits b_gates)
   in
-  if List.length support > max_check_width then begin
-    Qobs.Metrics.tick "commute.oversize";
-    false
-  end
-  else
-    Oracle.dense_on ~n_qubits:(List.length support)
-      (relabel_onto support a_gates)
-      (relabel_onto support b_gates)
+  List.length support <= Oracle.max_check_width
+  && Oracle.dense_on ~n_qubits:(List.length support)
+       (Oracle.relabel_onto support a_gates)
+       (Oracle.relabel_onto support b_gates)
 
 (* The pre-oracle decision chain, retained memo-free as the reference the
-   qcheck suite pins {!blocks} against: structural shortcuts, support
-   width gate, then the attempt-and-fail algebraic dispatch (phase
-   polynomial, then tableau), then the dense comparison. No metrics, no
-   decision memo — results must be reproducible independently of any
-   cache the oracle keeps (the unitary cache underneath [dense_on] is
-   content-addressed and pure, so sharing it is sound). *)
+   qcheck suite pins {!Oracle.blocks} against: structural shortcuts,
+   support width gate, then the attempt-and-fail algebraic dispatch
+   (phase polynomial, then tableau), then the dense comparison. No
+   metrics, no decision memo — results must be reproducible
+   independently of any cache the oracle keeps (the unitary cache
+   underneath [dense_on] is content-addressed and pure, so sharing it is
+   sound). *)
 let blocks_reference a b =
   match (a, b) with
   | [], _ | _, [] -> true
@@ -60,10 +51,11 @@ let blocks_reference a b =
     else if all_diagonal a && all_diagonal b then true
     else begin
       let support = List.sort_uniq compare (qa @ qb) in
-      if List.length support > max_check_width then false
+      if List.length support > Oracle.max_check_width then false
       else begin
         let n_qubits = List.length support in
-        let a = relabel_onto support a and b = relabel_onto support b in
+        let a = Oracle.relabel_onto support a
+        and b = Oracle.relabel_onto support b in
         match
           ( Qdomain.Phase_poly.of_gates ~n_qubits (a @ b),
             Qdomain.Phase_poly.of_gates ~n_qubits (b @ a) )
@@ -94,11 +86,4 @@ let blocks_reference a b =
       end
     end
 
-let blocks a b = Oracle.blocks a b
-let gates a b = Oracle.gates a b
-let insts a b = Oracle.blocks a.Inst.gates b.Inst.gates
-
 let insts_reference a b = blocks_reference a.Inst.gates b.Inst.gates
-
-(* idempotent; clears the calling domain's oracle tables *)
-let reset_memos () = Oracle.reset_memos ()

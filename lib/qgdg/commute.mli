@@ -1,60 +1,31 @@
-(** Commutation checks between gates and instruction blocks.
+(** Executable specifications of commutation, memo-free.
 
     The paper resolves commutation "by explicitly checking the equality of
-    unitary operators ÂB̂ and B̂Â" (§3.3). This module decides exactly that
-    on the joint support, with structural fast paths for the common cases
-    of Table 2 (disjoint supports, diagonal×diagonal, identical gates) and
-    two algebraic fast paths before the dense fallback: a phase-polynomial
-    comparison for CNOT+diagonal blocks and a Pauli-tableau comparison
-    (with a statevector tie-break for the residual global phase) for
-    Clifford blocks. Dense unitaries are only built when the query escapes
-    every one of these.
-
-    When a metrics registry is ambient ({!Qobs.Metrics}), every query is
-    attributed to exactly one route: [commute.route.structural] /
-    [memo] / [phase_poly] / [tableau] / [dense] / [oversize] counters
-    (summing to [commute.checks]) with matching [.ms] time histograms,
-    and [commute.dense.width] records the joint support width of every
-    dense fallback. *)
-
-val gates : Qgate.Gate.t -> Qgate.Gate.t -> bool
-(** Do two gates commute as operators? *)
-
-val blocks : Qgate.Gate.t list -> Qgate.Gate.t list -> bool
-(** Do two member-gate blocks commute as whole operators? Joint supports
-    larger than {!max_check_width} qubits conservatively return [false]
-    (unless disjoint or both diagonal). Since the oracle rewrite this is
-    {!Oracle.blocks}: summaries are digest-memoized, the slow path
-    dispatches on klass pairs and is memoized on digest pairs, and dense
-    unitaries are the last resort. *)
-
-val insts : Inst.t -> Inst.t -> bool
+    unitary operators ÂB̂ and B̂Â" (§3.3). The compiler asks that question
+    through {!Oracle} only; this module keeps the plain decision chains
+    the qcheck suite pins the oracle against — structural fast paths for
+    the common cases of Table 2 (disjoint supports, diagonal×diagonal),
+    an attempt-and-fail phase-polynomial then Pauli-tableau dispatch, and
+    the dense comparison last. None of these functions keeps a decision
+    memo; the dense comparison shares the oracle's content-addressed
+    unitary cache, which is pure. *)
 
 val blocks_reference : Qgate.Gate.t list -> Qgate.Gate.t list -> bool
-(** The pre-oracle decision chain, retained memo-free (structural
-    shortcuts, width gate, attempt-and-fail phase-polynomial then
-    tableau dispatch, dense fallback) — the qcheck suite pins {!blocks}
-    against it on random blocks and on every suite circuit. *)
+(** The pre-oracle decision chain (structural shortcuts, the
+    {!Oracle.max_check_width} gate, attempt-and-fail phase-polynomial
+    then tableau dispatch, dense fallback) — the qcheck suite pins
+    {!Oracle.blocks} against it on random blocks and on every suite
+    circuit. *)
 
 val insts_reference : Inst.t -> Inst.t -> bool
 (** {!blocks_reference} on the instructions' member gates. *)
 
-val max_check_width : int
-(** Support-size cap (8) above which the dense check is not attempted. *)
-
 val dense_commute : Qgate.Gate.t list -> Qgate.Gate.t list -> bool
-(** The reference dense comparison on the joint support (false beyond
-    {!max_check_width}), with no algebraic fast paths — exposed so tests
-    can cross-check the fast paths against it. *)
-
-val reset_memos : unit -> unit
-(** Clear the calling domain's oracle memos (classification, pair,
-    diagonal and unitary tables — an alias of
-    {!Oracle.reset_memos}). Benchmarks use this to measure cold-path
-    timings reproducibly; results are unaffected (the memos are pure
-    caches). *)
+(** The dense comparison on the joint support (false beyond
+    {!Oracle.max_check_width}), with no algebraic fast paths — tests
+    cross-check the fast paths against it. *)
 
 val is_diagonal_block : Qgate.Gate.t list -> bool
 (** Is the composed unitary diagonal in the computational basis? True
     algebraically when all members are diagonal; otherwise checked
-    densely on the support (false beyond {!max_check_width}). *)
+    densely on the support (false beyond {!Oracle.max_check_width}). *)

@@ -147,25 +147,13 @@ let of_gates gs =
 
 (* ---- pairwise commutation ---- *)
 
-(* observability: every commutation query ticks "commute.checks"; queries
-   resolved structurally (identical gates, disjoint supports, both sides
-   diagonal) tick "commute.fast_path", as do the algebraic decisions,
-   which additionally tick "commute.phase_poly" or "commute.tableau";
-   joint supports too wide to check tick "commute.oversize"; only queries
-   that reach the dense route tick "commute.unitary" (see [dense_on] for
-   its refuted/build/compare split) — the fast-path ratio is the headline
-   number for the detection cost (no-ops unless a metrics registry is
-   ambient, see Qobs.Metrics) *)
-let fast_path () = Qobs.Metrics.tick "commute.fast_path"
-
-(* Route attribution: on top of the legacy counters above, every query
-   that ticks "commute.checks" resolves through exactly one route —
-   structural / memo / phase_poly / tableau / dense / oversize — ticking
-   "commute.route.<r>" and recording the query's wall time in
-   "commute.route.<r>.ms". The per-route counters therefore sum to the
-   decision count, which [qcc stats] checks and reports as the route mix.
-   The clock is read only when a metrics registry is ambient, so the
-   disabled path stays one branch. *)
+(* Route attribution: every query that ticks "commute.checks" resolves
+   through exactly one route — structural / memo / phase_poly / tableau /
+   dense / oversize — ticking "commute.route.<r>" and recording the
+   query's wall time in "commute.route.<r>.ms". The per-route counters
+   therefore sum to the decision count, which [qcc stats] checks and
+   reports as the route mix. The clock is read only when a metrics
+   registry is ambient, so the disabled path stays one branch. *)
 let now_if_metrics () =
   if Qobs.Metrics.enabled (Qobs.Metrics.ambient ()) then
     Some (Qobs.Clock.now_ns ())
@@ -234,7 +222,6 @@ let refutes ~n_qubits a_gates b_gates =
    probe first, and only an unrefuted pair pays for both unitaries and
    the entrywise compare *)
 let dense_on ~n_qubits a_gates b_gates =
-  Qobs.Metrics.tick "commute.unitary";
   if refutes ~n_qubits a_gates b_gates then begin
     Qobs.Metrics.tick "commute.dense.refuted";
     false
@@ -252,7 +239,7 @@ let dense_on ~n_qubits a_gates b_gates =
 
 type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided
 
-(* The algebraic pair check shared by this module and Qflow.Summary,
+(* The algebraic pair check behind [decide] and [algebraic_blocks],
    dispatched on the summaries' fragment-membership flags instead of
    re-attempting each abstract domain: a concatenation lies in a
    gate-wise fragment iff both blocks do, and fragment membership is
@@ -317,6 +304,10 @@ let embedding joint support =
   List.iteri (fun k q -> Hashtbl.replace local q k) joint;
   List.map (fun q -> Hashtbl.find local q) support
 
+let disjoint sa sb =
+  not (List.exists (fun q -> List.mem q sb.support) sa.support)
+let diagonal_klass s = s.klass = Identity || s.klass = Diagonal
+
 (* Shared slow path: support width gate, then the klass-pair shortcut
    (two provably diagonal operators commute exactly), then the
    digest-pair memo, then the flag-dispatched algebraic domains, then the
@@ -326,18 +317,13 @@ let decide ~t0 sa sb a_gates b_gates =
   let support = List.sort_uniq compare (sa.support @ sb.support) in
   let n_qubits = List.length support in
   if n_qubits > max_check_width then begin
-    Qobs.Metrics.tick "commute.oversize";
     route route_oversize t0;
     false
   end
-  else if
-    (sa.klass = Identity || sa.klass = Diagonal)
-    && (sb.klass = Identity || sb.klass = Diagonal)
-  then begin
+  else if diagonal_klass sa && diagonal_klass sb then begin
     (* both operators are exactly diagonal (the affine test behind the
        Diagonal klass is exact boolean algebra) or scalar, so they
        commute as operators — every downstream check would return true *)
-    fast_path ();
     route route_structural t0;
     true
   end
@@ -351,8 +337,6 @@ let decide ~t0 sa sb a_gates b_gates =
     let m = Qobs.Domain_safe.Local.get memos in
     match Hashtbl.find_opt m.pair key with
     | Some r ->
-      Qobs.Metrics.tick "commute.memo_hits";
-      fast_path ();
       route route_memo t0;
       r
     | None ->
@@ -367,13 +351,9 @@ let decide ~t0 sa sb a_gates b_gates =
       let r =
         match (decision, taken) with
         | Some r, Pair_phase_poly ->
-          Qobs.Metrics.tick "commute.phase_poly";
-          fast_path ();
           route route_phase_poly t0;
           r
         | Some r, Pair_tableau ->
-          Qobs.Metrics.tick "commute.tableau";
-          fast_path ();
           route route_tableau t0;
           r
         | _ ->
@@ -391,49 +371,36 @@ let blocks ?sa ?sb a b =
   let t0 = now_if_metrics () in
   match (a, b) with
   | [], _ | _, [] ->
-    fast_path ();
     route route_structural t0;
     true
   | _ ->
     let sa = match sa with Some s -> s | None -> fst (of_gates a) in
     let sb = match sb with Some s -> s | None -> fst (of_gates b) in
-    let disjoint =
-      not (List.exists (fun q -> List.mem q sb.support) sa.support)
-    in
-    if disjoint then begin
-      fast_path ();
-      route route_structural t0;
-      true
-    end
-    else if sa.all_diagonal && sb.all_diagonal then begin
-      fast_path ();
+    if disjoint sa sb || (sa.all_diagonal && sb.all_diagonal) then begin
       route route_structural t0;
       true
     end
     else decide ~t0 sa sb a b
 
-let gates a b =
-  Qobs.Metrics.tick "commute.checks";
-  let t0 = now_if_metrics () in
-  if Gate.equal a b then begin
-    fast_path ();
-    route route_structural t0;
-    true
-  end
-  else if not (Gate.shares_qubit a b) then begin
-    fast_path ();
-    route route_structural t0;
-    true
-  end
-  else if Gate.is_diagonal_kind a.Gate.kind && Gate.is_diagonal_kind b.Gate.kind
-  then begin
-    fast_path ();
-    route route_structural t0;
-    true
-  end
+(* The algebraic domains stay polynomial in the support width, so the
+   algebraic-only query reaches wider than the dense route's cap. *)
+let max_algebraic_width = 12
+
+(* The algebraic-only query behind the QL070 lint: the structural and
+   klass-pair shortcuts come before the width cap, and no memo or metric
+   is kept — the lint asks each adjacent pair once. *)
+let algebraic_blocks ~sa ~sb a b =
+  if disjoint sa sb || (diagonal_klass sa && diagonal_klass sb) then Some true
   else
-    let sa = fst (of_gates [ a ]) and sb = fst (of_gates [ b ]) in
-    decide ~t0 sa sb [ a ] [ b ]
+    let joint = List.sort_uniq compare (sa.support @ sb.support) in
+    let n_qubits = List.length joint in
+    if n_qubits > max_algebraic_width then None
+    else
+      fst
+        (algebraic_pair
+           ~in_phase_poly:(sa.in_phase_poly && sb.in_phase_poly)
+           ~in_clifford:(sa.in_clifford && sb.in_clifford)
+           ~n_qubits (relabel_onto joint a) (relabel_onto joint b))
 
 (* ---- incremental diagonal-prefix scanning (the detect pass) ---- *)
 

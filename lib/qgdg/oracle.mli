@@ -1,5 +1,5 @@
-(** The commutation oracle: one summary-keyed entry point for every
-    commutativity-detection decision (ROADMAP Open item 2).
+(** The commutation oracle: the one place that decides whether two
+    blocks commute, the paper's ÂB̂ = B̂Â check (§3.3).
 
     A block's {e summary} is its content digest (relabelled onto its own
     support), its sorted support, and its classification by the cheapest
@@ -10,13 +10,15 @@
     excitation or adder template stamped onto different qubit sets) are
     classified once per domain.
 
-    Three consumers sit on top of the oracle: pairwise commutation
-    ({!blocks} / {!gates}, re-exported by {!Commute}), diagonal-prefix
-    recognition for the detect pass ({!scan_push} / {!scan_is_diagonal},
-    consumed by {!Diagonal}), and CLS group construction
-    ({!Comm_group.build} passes per-instruction summaries back into
-    {!blocks}). All memo tables are per-domain (Domain.DLS) and cleared
-    by {!reset_memos}, so [-j N] runs stay byte-identical. *)
+    Four consumers sit on top of the oracle: pairwise commutation for
+    the compiler ({!blocks}), the algebraic-only query behind the QL070
+    lint ({!algebraic_blocks}), diagonal-prefix recognition for the
+    detect pass ({!scan_push} / {!scan_is_diagonal}, consumed by
+    {!Diagonal}), and CLS group construction ({!Comm_group.build} passes
+    per-instruction summaries back into {!blocks}). {!Commute} holds the
+    memo-free reference specifications the qcheck suite pins these
+    against. All memo tables are per-domain (Domain.DLS) and cleared by
+    {!reset_memos}, so [-j N] runs stay byte-identical. *)
 
 type klass = Identity | Diagonal | Clifford | Phase_linear | General
 
@@ -51,28 +53,24 @@ val blocks : ?sa:t -> ?sb:t -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
 
     Ticks [commute.checks] and exactly one [commute.route.<r>] counter
     (structural / memo / phase_poly / tableau / dense / oversize) with a
-    matching [.ms] histogram, plus the legacy [commute.*] counters, when
-    a metrics registry is ambient. *)
+    matching [.ms] histogram when a metrics registry is ambient. *)
 
-val gates : Qgate.Gate.t -> Qgate.Gate.t -> bool
-(** Do two gates commute as operators? *)
+val algebraic_blocks :
+  sa:t -> sb:t -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool option
+(** [algebraic_blocks ~sa ~sb a b]: do the blocks commute as operators,
+    decided {e algebraically only}? Disjoint supports and two
+    identity/diagonal klasses answer [Some true]; a joint support wider
+    than 12 qubits answers [None]; otherwise the phase-polynomial domain
+    (exact) or the tableau domain (up to a statevector-column
+    global-phase tie-break) decides on the pair relabelled onto the
+    joint support, and a pair outside both fragments answers [None]. No
+    dense fallback, no memo and no metrics: the QL070 lint asks each
+    adjacent pair once. *)
 
-type pair_route = Pair_phase_poly | Pair_tableau | Pair_undecided
-
-val algebraic_pair :
-  in_phase_poly:bool ->
-  in_clifford:bool ->
-  n_qubits:int ->
-  Qgate.Gate.t list ->
-  Qgate.Gate.t list ->
-  bool option * pair_route
-(** The algebraic-only pair check on an already-relabelled pair,
-    dispatched on the blocks' fragment-membership flags: phase-polynomial
-    strict equality when both blocks sit in the CNOT+diagonal fragment,
-    else tableau equality (with a statevector-column global-phase
-    tie-break) when both are Clifford, else undecided. No metrics, no
-    memo — callers ({!decide}'s slow path, {!Qflow.Summary.commutes})
-    own both. *)
+val relabel_onto : int list -> Qgate.Gate.t list -> Qgate.Gate.t list
+(** [relabel_onto support gs]: the gates with each qubit replaced by its
+    position in [support] (order-preserving; every qubit of [gs] must be
+    in [support]). *)
 
 val dense_on : n_qubits:int -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
 (** The dense comparison on already-relabelled gates (support 0..n-1).
@@ -85,10 +83,9 @@ val dense_on : n_qubits:int -> Qgate.Gate.t list -> Qgate.Gate.t list -> bool
     {!Qnum.Cmat.commute_embedded} decides, so every answer equals the
     unconditional entrywise check (the qcheck suite pins this).
 
-    Ticks [commute.unitary] per query and [commute.dense.refuted] per
-    probe refutation, and records [commute.dense.build.ms] /
-    [commute.dense.compare.ms] (unrefuted queries) when a metrics registry
-    is ambient. *)
+    Ticks [commute.dense.refuted] per probe refutation and records
+    [commute.dense.build.ms] / [commute.dense.compare.ms] (unrefuted
+    queries) when a metrics registry is ambient. *)
 
 val unitary_on_own : Qgate.Gate.t list -> int list * Qnum.Cmat.t
 (** The block's unitary on its own sorted support (cached; a cache miss

@@ -36,7 +36,7 @@ let run ?stage ?gate_time ~width_limit gdg =
               if List.length joint <= width_limit then begin
                 let sa = summary a and sb = summary b in
                 match
-                  Qflow.Summary.commutes ~a:a.Inst.gates ~b:b.Inst.gates sa sb
+                  Qgdg.Oracle.algebraic_blocks ~sa ~sb a.Inst.gates b.Inst.gates
                 with
                 | Some true ->
                   add

@@ -184,7 +184,7 @@ let summary_cases =
           (k [ Gate.cnot 0 1; Gate.t 1 ] = Qflow.Summary.Phase_linear);
         check_bool "general" true (k [ Gate.rx 0.3 0 ] = Qflow.Summary.General));
     case "summaries are content-addressed across qubit relabelings" (fun () ->
-        Qflow.Summary.reset_memo ();
+        Qgdg.Oracle.reset_memos ();
         let m = Qobs.Metrics.create () in
         Qobs.Metrics.with_ambient m (fun () ->
             let template q r = [ Gate.h q; Gate.cnot q r; Gate.t r ] in
@@ -204,19 +204,19 @@ let summary_cases =
         let s gs = Qflow.Summary.of_gates gs in
         let a = [ Gate.h 0 ] and b = [ Gate.h 5 ] in
         check_bool "disjoint" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some true);
+          (Qgdg.Oracle.algebraic_blocks ~sa:(s a) ~sb:(s b) a b = Some true);
         let a = [ Gate.t 0; Gate.rzz 0.4 0 1 ] and b = [ Gate.cz 1 2 ] in
         check_bool "diagonal x diagonal" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some true);
+          (Qgdg.Oracle.algebraic_blocks ~sa:(s a) ~sb:(s b) a b = Some true);
         let a = [ Gate.z 0 ] and b = [ Gate.x 0 ] in
         check_bool "z vs x" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some false);
+          (Qgdg.Oracle.algebraic_blocks ~sa:(s a) ~sb:(s b) a b = Some false);
         let a = [ Gate.z 0 ] and b = [ Gate.cnot 0 1 ] in
         check_bool "z vs control of cnot" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some true);
+          (Qgdg.Oracle.algebraic_blocks ~sa:(s a) ~sb:(s b) a b = Some true);
         let a = [ Gate.z 0 ] and b = [ Gate.cnot 1 0 ] in
         check_bool "z vs target of cnot" true
-          (Qflow.Summary.commutes ~a ~b (s a) (s b) = Some false)) ]
+          (Qgdg.Oracle.algebraic_blocks ~sa:(s a) ~sb:(s b) a b = Some false)) ]
 
 (* ---------- QL06x / QL07x lints: seeded witnesses per code ---------- *)
 

@@ -10,6 +10,15 @@ let sum_latency gates = float_of_int (List.length gates)
 
 let zz a b = [ Gate.cnot a b; Gate.rz 5.67 b; Gate.cnot a b ]
 
+let oracle_insts (a : Inst.t) (b : Inst.t) =
+  Oracle.blocks a.Inst.gates b.Inst.gates
+
+let algebraic_agrees a b =
+  let s gs = fst (Oracle.of_gates gs) in
+  match Oracle.algebraic_blocks ~sa:(s a) ~sb:(s b) a b with
+  | Some r -> r = Commute.blocks_reference a b
+  | None -> true
+
 (* generators for the algebraic commutation fast paths: Clifford blocks
    exercise the tableau route, CNOT+Rz blocks the phase-polynomial route *)
 let random_clifford_gates rng n depth =
@@ -88,28 +97,34 @@ let inst_cases =
 
 let commute_cases =
   [ case "disjoint gates commute" (fun () ->
-        check_bool "h0 vs h1" true (Commute.gates (Gate.h 0) (Gate.h 1)));
+        check_bool "h0 vs h1" true (Oracle.blocks [ Gate.h 0 ] [ Gate.h 1 ]));
     case "diagonal gates commute" (fun () ->
-        check_bool "rz vs cz" true (Commute.gates (Gate.rz 0.3 0) (Gate.cz 0 1));
+        check_bool "rz vs cz" true
+          (Oracle.blocks [ Gate.rz 0.3 0 ] [ Gate.cz 0 1 ]);
         check_bool "rzz vs rzz shared" true
-          (Commute.gates (Gate.rzz 0.5 0 1) (Gate.rzz 0.7 1 2)));
+          (Oracle.blocks [ Gate.rzz 0.5 0 1 ] [ Gate.rzz 0.7 1 2 ]));
     case "table 2: control commutes with rz" (fun () ->
-        check_bool "rz on control" true (Commute.gates (Gate.rz 0.4 0) (Gate.cnot 0 1));
-        check_bool "rz on target" false (Commute.gates (Gate.rz 0.4 1) (Gate.cnot 0 1)));
+        check_bool "rz on control" true
+          (Oracle.blocks [ Gate.rz 0.4 0 ] [ Gate.cnot 0 1 ]);
+        check_bool "rz on target" false
+          (Oracle.blocks [ Gate.rz 0.4 1 ] [ Gate.cnot 0 1 ]));
     case "table 2: cnots with shared control" (fun () ->
-        check_bool "shared control" true (Commute.gates (Gate.cnot 0 1) (Gate.cnot 0 2));
-        check_bool "shared target" true (Commute.gates (Gate.cnot 0 2) (Gate.cnot 1 2));
+        check_bool "shared control" true
+          (Oracle.blocks [ Gate.cnot 0 1 ] [ Gate.cnot 0 2 ]);
+        check_bool "shared target" true
+          (Oracle.blocks [ Gate.cnot 0 2 ] [ Gate.cnot 1 2 ]);
         check_bool "control-target clash" false
-          (Commute.gates (Gate.cnot 0 1) (Gate.cnot 1 2)));
+          (Oracle.blocks [ Gate.cnot 0 1 ] [ Gate.cnot 1 2 ]));
     case "x and rx commute" (fun () ->
-        check_bool "same axis" true (Commute.gates (Gate.x 0) (Gate.rx 1.1 0)));
+        check_bool "same axis" true
+          (Oracle.blocks [ Gate.x 0 ] [ Gate.rx 1.1 0 ]));
     case "h and x do not commute" (fun () ->
-        check_bool "h x" false (Commute.gates (Gate.h 0) (Gate.x 0)));
+        check_bool "h x" false (Oracle.blocks [ Gate.h 0 ] [ Gate.x 0 ]));
     case "blocks: zz structures commute" (fun () ->
-        check_bool "zz 01 vs zz 12" true (Commute.blocks (zz 0 1) (zz 1 2)));
+        check_bool "zz 01 vs zz 12" true (Oracle.blocks (zz 0 1) (zz 1 2)));
     case "blocks: cnot chains do not" (fun () ->
         check_bool "cnot vs zz on target" false
-          (Commute.blocks [ Gate.cnot 0 1 ] (zz 1 2) |> fun r ->
+          (Oracle.blocks [ Gate.cnot 0 1 ] (zz 1 2) |> fun r ->
            (* cnot(0,1) vs diagonal zz(1,2): cnot's target is in zz support *)
            r));
     case "is_diagonal_block" (fun () ->
@@ -129,7 +144,7 @@ let commute_cases =
           let n = List.length sup in
           let ua = Qgate.Unitary.of_gates ~n_qubits:n [ Gate.map_qubits f a ] in
           let ub = Qgate.Unitary.of_gates ~n_qubits:n [ Gate.map_qubits f b ] in
-          Commute.gates a b = Qnum.Cmat.commute ~eps:1e-9 ua ub
+          Oracle.blocks [ a ] [ b ] = Qnum.Cmat.commute ~eps:1e-9 ua ub
         | _ -> true);
     (* the dispatching oracle (tableau / phase-polynomial fast paths plus
        the embedded dense fallback) against the one-shot dense check, on
@@ -141,7 +156,7 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 7 in
         let a = random_clifford_gates rng n 5 in
         let b = random_clifford_gates rng n 5 in
-        Commute.blocks a b = Commute.dense_commute a b);
+        Oracle.blocks a b = Commute.dense_commute a b);
     qcheck ~count:25 "blocks agrees with dense on CNOT+Rz blocks"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -149,7 +164,7 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 7 in
         let a = random_cnot_rz_gates rng n 6 in
         let b = random_cnot_rz_gates rng n 6 in
-        Commute.blocks a b = Commute.dense_commute a b);
+        Oracle.blocks a b = Commute.dense_commute a b);
     (* the refute-first probe inside [dense_on] may only ever answer
        false where the entrywise check does: pin its decision against
        the unconditional check on general blocks of width 1–8 (mostly
@@ -181,6 +196,7 @@ let commute_cases =
         let a, b = conjugated_pair rng ~delta n in
         Oracle.dense_on ~n_qubits:n a b = full_dense ~n_qubits:n a b);
     case "dense_on: the probe settles non-commuting pairs" (fun () ->
+        Oracle.reset_memos ();
         let m = Qobs.Metrics.create () in
         let pairs =
           [ ([ Gate.h 0 ], [ Gate.x 0 ]);
@@ -195,7 +211,9 @@ let commute_cases =
             check_bool "commuting" true
               (Oracle.dense_on ~n_qubits:2 (zz 0 1) [ Gate.rz 0.3 1 ]));
         check_int "refuted" 3 (Qobs.Metrics.counter_value m "commute.dense.refuted");
-        check_int "queries" 4 (Qobs.Metrics.counter_value m "commute.unitary"));
+        (* only the unrefuted query builds its two unitaries *)
+        check_int "builds" 2
+          (Qobs.Metrics.counter_value m "commute.dense.builds"));
     case "dense_on: a nan residual never refutes" (fun () ->
         let a = [ Gate.rz infinity 0; Gate.h 0 ] and b = [ Gate.x 0 ] in
         let m = Qobs.Metrics.create () in
@@ -205,9 +223,9 @@ let commute_cases =
         check_bool "same as the full check" (full_dense ~n_qubits:1 a b) r;
         check_int "refuted" 0 (Qobs.Metrics.counter_value m "commute.dense.refuted"));
     case "blocks: anti-commuting Paulis rejected" (fun () ->
-        check_bool "x vs z" false (Commute.blocks [ Gate.x 0 ] [ Gate.z 0 ]);
-        check_bool "x vs y" false (Commute.blocks [ Gate.x 0 ] [ Gate.y 0 ]);
-        check_bool "h vs h" true (Commute.blocks [ Gate.h 0 ] [ Gate.h 0 ]));
+        check_bool "x vs z" false (Oracle.blocks [ Gate.x 0 ] [ Gate.z 0 ]);
+        check_bool "x vs y" false (Oracle.blocks [ Gate.x 0 ] [ Gate.y 0 ]);
+        check_bool "h vs h" true (Oracle.blocks [ Gate.h 0 ] [ Gate.h 0 ]));
     (* the oracle dispatcher against the retained pre-oracle decision
        chain: memoization, summary shortcuts and route dispatch must not
        change a single verdict *)
@@ -218,7 +236,7 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 5 in
         let a = random_clifford_gates rng n 5 in
         let b = random_clifford_gates rng n 5 in
-        Commute.blocks a b = Commute.blocks_reference a b);
+        Oracle.blocks a b = Commute.blocks_reference a b);
     qcheck ~count:25 "blocks matches blocks_reference on CNOT+Rz blocks"
       QCheck.(int_range 0 10000)
       (fun seed ->
@@ -226,7 +244,27 @@ let commute_cases =
         let n = 2 + Qgraph.Rand.int rng 5 in
         let a = random_cnot_rz_gates rng n 6 in
         let b = random_cnot_rz_gates rng n 6 in
-        Commute.blocks a b = Commute.blocks_reference a b) ]
+        Oracle.blocks a b = Commute.blocks_reference a b);
+    (* the lint's algebraic-only query may abstain, but whenever it
+       decides it must agree with the reference chain *)
+    qcheck ~count:25
+      "algebraic_blocks agrees with blocks_reference on Clifford blocks"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 2 + Qgraph.Rand.int rng 6 in
+        let a = random_clifford_gates rng n 5 in
+        let b = random_clifford_gates rng n 5 in
+        algebraic_agrees a b);
+    qcheck ~count:25
+      "algebraic_blocks agrees with blocks_reference on CNOT+Rz blocks"
+      QCheck.(int_range 0 10000)
+      (fun seed ->
+        let rng = Qgraph.Rand.create seed in
+        let n = 2 + Qgraph.Rand.int rng 6 in
+        let a = random_cnot_rz_gates rng n 6 in
+        let b = random_cnot_rz_gates rng n 6 in
+        algebraic_agrees a b) ]
 
 let gdg_cases =
   [ case "of_circuit sizes" (fun () ->
@@ -559,16 +597,16 @@ let sched_view_cases =
       (fun seed ->
         let rng = Qgraph.Rand.create seed in
         let g, latency = view_gdg rng in
-        let groups = Comm_group.build ~commute:Commute.insts g in
+        let groups = Comm_group.build ~commute:oracle_insts g in
         let ok = ref true in
         for _ = 1 to 5 + Qgraph.Rand.int rng 25 do
           random_merge rng g ~merge:(fun a b ->
               match Gdg.merge g ~latency:(latency ()) a b with
               | exception Invalid_argument _ -> ()
               | merged ->
-                Comm_group.refresh ~commute:Commute.insts groups g
+                Comm_group.refresh ~commute:oracle_insts groups g
                   ~qubits:merged.Inst.qubits;
-                let full = Comm_group.build ~commute:Commute.insts g in
+                let full = Comm_group.build ~commute:oracle_insts g in
                 for q = 0 to Gdg.n_qubits g - 1 do
                   ok :=
                     !ok

@@ -411,7 +411,6 @@ let test_ledger_stats_roundtrip () =
   Metrics.incr m ~by:10 "commute.checks";
   Metrics.incr m ~by:4 "commute.route.memo";
   Metrics.incr m ~by:6 "commute.route.dense";
-  Metrics.incr m ~by:3 "qflow.route.structural";
   Metrics.incr m ~by:5 "detect.checks";
   Metrics.incr m ~by:2 "detect.route.memo";
   Metrics.incr m ~by:3 "detect.route.phase_poly";
@@ -458,7 +457,6 @@ let test_ledger_stats_roundtrip () =
       in
       checki "memo route" 4 (route "commute.route.memo");
       checki "dense route" 6 (route "commute.route.dense");
-      checki "qflow route" 3 (route "qflow.route.structural");
       checki "route sum = checks" t.Qobs.Stats.commute_checks
         (route "commute.route.memo" + route "commute.route.dense");
       checki "detect checks" 5 t.Qobs.Stats.detect_checks;
@@ -523,9 +521,6 @@ let test_route_sum_invariant () =
   let checks = Metrics.counter_value metrics "commute.checks" in
   checkb "commutation queries happened" true (checks > 0);
   checki "commute routes sum to checks" checks (sum_routes "commute.route.");
-  let pair_checks = Metrics.counter_value metrics "qflow.pair.checks" in
-  checki "qflow routes sum to pair checks" pair_checks
-    (sum_routes "qflow.route.");
   let detect_checks = Metrics.counter_value metrics "detect.checks" in
   checkb "detection queries happened" true (detect_checks > 0);
   checki "detect routes sum to checks" detect_checks
@@ -585,6 +580,36 @@ let test_compile_metrics_populated () =
     [ "lower.gates"; "commute.checks"; "cls.matched"; "agg.attempted";
       "latency_model.gate_queries"; "compile.latency_ns" ]
 
+(* the agg.phase.* timers run inside the aggregate span and never
+   overlap, so their sums partition part of it: what is left is the
+   "phase rest" row of [qcc profile] *)
+let test_agg_phases_within_span () =
+  let circuit = Qapps.Suite.lowered (Qapps.Suite.find "maxcut-line") in
+  let r, metrics = compile_traced Qcc.Strategy.Cls_aggregation circuit in
+  let span_ms =
+    match r.Qcc.Compiler.trace with
+    | None -> Alcotest.fail "traced compile must return a trace"
+    | Some root -> (
+      match Span.find_all ~name:"aggregate" root with
+      | [ s ] -> Span.duration_ns s /. 1e6
+      | spans -> Alcotest.failf "%d aggregate spans" (List.length spans))
+  in
+  let phase_sum =
+    List.fold_left
+      (fun acc phase ->
+        match Metrics.hist_value metrics ("agg.phase." ^ phase ^ ".ms") with
+        | None -> Alcotest.failf "agg.phase.%s.ms missing" phase
+        | Some h ->
+          checkb (phase ^ " sum >= 0") true (h.Metrics.sum >= 0.);
+          acc +. h.Metrics.sum)
+      0.
+      [ "groups"; "slack"; "universe"; "score" ]
+  in
+  checkb
+    (Printf.sprintf "phases %.3f ms <= aggregate span %.3f ms" phase_sum
+       span_ms)
+    true (phase_sum <= span_ms)
+
 let test_untraced_compile_has_no_trace () =
   let circuit =
     Qgate.Decompose.to_isa (Qapps.Qaoa.triangle_example ())
@@ -618,5 +643,7 @@ let suites =
      [ Alcotest.test_case "passes-once-each" `Quick test_trace_passes_once_each;
        Alcotest.test_case "metrics-populated" `Quick
          test_compile_metrics_populated;
+       Alcotest.test_case "agg-phases-within-span" `Quick
+         test_agg_phases_within_span;
        Alcotest.test_case "untraced-no-trace" `Quick
          test_untraced_compile_has_no_trace ]) ]
