@@ -401,48 +401,84 @@ let pipeline_benchmarks =
   [ "maxcut-line"; "maxcut-reg4"; "ising-n30"; "sqrt-n3"; "uccsd-n4";
     "uccsd-n6" ]
 
-let pipeline () =
-  header "Pipeline: per-pass wall-time breakdown (BENCH_pipeline.json)";
-  let entries =
-    List.concat_map
-      (fun name ->
-        let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
-        Printf.printf "  profiling %s...\n%!" name;
-        (* cold commutation memos per circuit so the recorded times do
-           not depend on which benchmarks ran earlier in the process —
-           the perf gate resets the same way before re-measuring *)
-        Qgdg.Oracle.reset_memos ();
-        (* one stage cache per circuit, as compile_all would use: the
-           pipeline.cache.{hit,miss} counters land in each entry's
-           metrics *)
+(* repetitions per benchmark, for the baseline and the gate alike *)
+let measure_reps = 3
+
+(* The one measurement behind the committed baseline ([pipeline]) and
+   the perf gate ([perf-gate]). Each repetition of a benchmark starts
+   from cold memos ([Compiler.reset_all_memos]) and compiles every
+   strategy through one fresh stage cache, as [compile_all] would, with
+   tracing and metrics on. The repetitions of a benchmark run back to
+   back and only its JSON entries outlive them, so its times do not
+   depend on which benchmarks ran before it in the process. Returns one
+   BENCH_pipeline.json entry per benchmark×strategy cell: the first
+   repetition's results, metrics and per-pass GC figures, with the
+   minimum compile and pass wall times over the repetitions. *)
+let measure ~reps benches =
+  List.concat_map
+    (fun bench ->
+      let circuit = Qapps.Suite.lowered (Qapps.Suite.find bench) in
+      Printf.printf "  profiling %s...\n%!" bench;
+      let run () =
+        Compiler.reset_all_memos ();
         let cache = Qcc.Pipeline.Cache.create () in
         List.map
           (fun strategy ->
             let obs = Qobs.Trace.create () in
             let metrics = Qobs.Metrics.create () in
             let r = Compiler.compile ~obs ~metrics ~cache ~strategy circuit in
-            let passes =
-              (* one row per pass span under the compile root, with wall
-                 time and the GC allocation delta (same shape as the
-                 flight-recorder ledger rows) *)
+            let spans =
               match r.Compiler.trace with
               | None -> []
-              | Some root ->
-                List.map Qobs.Ledger.pass_row (Qobs.Span.children root)
+              | Some root -> Qobs.Span.children root
             in
-            Qobs.Json.Obj
-              [ ("benchmark", Qobs.Json.Str name);
-                ("strategy", Qobs.Json.Str (Strategy.to_string strategy));
-                ("compile_time_s", Qobs.Json.Float r.Compiler.compile_time);
-                ("latency_ns", Qobs.Json.Float r.Compiler.latency);
-                ("instructions", Qobs.Json.Int r.Compiler.n_instructions);
-                ("swaps", Qobs.Json.Int r.Compiler.n_swaps_inserted);
-                ("merges", Qobs.Json.Int r.Compiler.n_merges);
-                ("passes", Qobs.Json.List passes);
-                ("metrics", Qobs.Metrics.to_json metrics) ])
-          Strategy.all)
-      pipeline_benchmarks
-  in
+            (strategy, r, metrics, spans))
+          Strategy.all
+      in
+      (* per strategy: the compile time, then each pass span's *)
+      let times (_, r, _, spans) =
+        r.Compiler.compile_time :: List.map Qobs.Span.duration_ns spans
+      in
+      let first = run () in
+      let best = ref (List.map times first) in
+      for _rep = 2 to reps do
+        best := List.map2 (List.map2 Float.min) !best (List.map times (run ()))
+      done;
+      List.map2
+        (fun (strategy, r, metrics, spans) best ->
+          let compile_s = List.hd best and walls = List.tl best in
+          (* one row per pass span under the compile root, in the
+             ledger's shape, with the minimum wall time *)
+          let passes =
+            List.map2
+              (fun span wall ->
+                match Qobs.Ledger.pass_row span with
+                | Qobs.Json.Obj fields ->
+                  Qobs.Json.Obj
+                    (List.map
+                       (fun (k, v) ->
+                         if k = "wall_ns" then (k, Qobs.Json.Float wall)
+                         else (k, v))
+                       fields)
+                | row -> row)
+              spans walls
+          in
+          Qobs.Json.Obj
+            [ ("benchmark", Qobs.Json.Str bench);
+              ("strategy", Qobs.Json.Str (Strategy.to_string strategy));
+              ("compile_time_s", Qobs.Json.Float compile_s);
+              ("latency_ns", Qobs.Json.Float r.Compiler.latency);
+              ("instructions", Qobs.Json.Int r.Compiler.n_instructions);
+              ("swaps", Qobs.Json.Int r.Compiler.n_swaps_inserted);
+              ("merges", Qobs.Json.Int r.Compiler.n_merges);
+              ("passes", Qobs.Json.List passes);
+              ("metrics", Qobs.Metrics.to_json metrics) ])
+        first !best)
+    benches
+
+let pipeline () =
+  header "Pipeline: per-pass wall-time breakdown (BENCH_pipeline.json)";
+  let entries = measure ~reps:measure_reps pipeline_benchmarks in
   let doc =
     Qobs.Json.Obj
       [ ("schema", Qobs.Json.Str "qcc.bench.pipeline/1");
@@ -452,344 +488,173 @@ let pipeline () =
   Printf.printf "  wrote BENCH_pipeline.json (%d entries)\n%!"
     (List.length entries)
 
-(* fast CI guard: the shared-prefix cache must actually share (hits for
-   every strategy past the first) and must not change results *)
-let pipeline_smoke () =
-  header "Pipeline smoke: stage-cache sharing on two benchmarks";
-  let failed = ref false in
-  List.iter
-    (fun name ->
-      let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
-      (* warm-up so the shared/isolated timings compare like for like *)
-      ignore (Compiler.compile ~strategy:Strategy.Cls_aggregation circuit);
-      let cache = Qcc.Pipeline.Cache.create () in
-      let t0 = Qobs.Clock.now_ns () in
-      let shared = Compiler.compile_all ~cache circuit in
-      let shared_ms = (Qobs.Clock.now_ns () -. t0) /. 1e6 in
-      let hits = Qcc.Pipeline.Cache.hits cache in
-      let t1 = Qobs.Clock.now_ns () in
-      let isolated =
-        List.map
-          (fun (s, _) -> (s, Compiler.compile ~strategy:s circuit))
-          shared
-      in
-      let isolated_ms = (Qobs.Clock.now_ns () -. t1) /. 1e6 in
-      (* a fully warm chain (every pass hits) must be near-free *)
-      let t2 = Qobs.Clock.now_ns () in
-      ignore
-        (Compiler.compile ~cache ~strategy:Strategy.Cls_aggregation circuit);
-      let warm_ms = (Qobs.Clock.now_ns () -. t2) /. 1e6 in
-      let mismatches =
-        List.filter
-          (fun ((_, (a : Compiler.result)), (_, (b : Compiler.result))) ->
-            a.Compiler.latency <> b.Compiler.latency
-            || a.Compiler.n_merges <> b.Compiler.n_merges
-            || a.Compiler.n_instructions <> b.Compiler.n_instructions)
-          (List.combine shared isolated)
-      in
-      Printf.printf
-        "  %-14s cache hits %3d | shared %8.1f ms | isolated %8.1f ms | warm recompile %6.2f ms | mismatches %d\n%!"
-        name hits shared_ms isolated_ms warm_ms (List.length mismatches);
-      if hits = 0 then begin
-        Printf.eprintf "  FAIL %s: stage cache recorded no hits\n%!" name;
-        failed := true
-      end;
-      if mismatches <> [] then begin
-        Printf.eprintf "  FAIL %s: cached results diverge from uncached\n%!"
-          name;
-        failed := true
-      end)
-    [ "maxcut-line"; "uccsd-n4" ];
-  if !failed then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Detect speed: oracle scanner vs the retained reference fixpoint     *)
-
-(* CI guard for the windowed, oracle-backed detect rewrite: on each
-   circuit the production path must perform the same merges and leave a
-   structurally identical graph, and must not be slower. Route counters
-   come from the ambient registry, so the printed breakdown is exactly
-   what [qcc stats] aggregates from ledgers. *)
-let detect_speed () =
-  header "Detect speed: oracle scanner vs reference fixpoint";
-  let cost gs = block_time gs in
-  let shape g =
-    List.map
-      (fun (i : Qgdg.Inst.t) -> (i.Qgdg.Inst.id, i.Qgdg.Inst.qubits, i.Qgdg.Inst.gates))
-      (Qgdg.Gdg.insts g)
-  in
-  let failed = ref false in
-  List.iter
-    (fun name ->
-      let circuit = Qapps.Suite.lowered (Qapps.Suite.find name) in
-      let metrics = Qobs.Metrics.create () in
-      Qcc.Compiler.reset_all_memos ();
-      let g_new = Qgdg.Gdg.of_circuit ~latency:cost circuit in
-      let t0 = Qobs.Clock.now_ns () in
-      let merges_new =
-        Qobs.Metrics.with_ambient metrics (fun () ->
-            Qgdg.Diagonal.detect_and_contract ~latency:cost g_new)
-      in
-      let new_ms = (Qobs.Clock.now_ns () -. t0) /. 1e6 in
-      let g_ref = Qgdg.Gdg.of_circuit ~latency:cost circuit in
-      let t1 = Qobs.Clock.now_ns () in
-      let merges_ref =
-        Qgdg.Diagonal.detect_and_contract_reference ~latency:cost g_ref
-      in
-      let ref_ms = (Qobs.Clock.now_ns () -. t1) /. 1e6 in
-      let identical =
-        merges_new = merges_ref
-        && Digest.string (Marshal.to_string (shape g_new) [])
-           = Digest.string (Marshal.to_string (shape g_ref) [])
-      in
-      let route r =
-        Qobs.Metrics.counter_value metrics (Printf.sprintf "detect.route.%s" r)
-      in
-      Printf.printf
-        "  %-14s reference %8.1f ms | oracle %8.1f ms | x%5.1f | merges %4d | \
-         routes s/m/pp/d/o %d/%d/%d/%d/%d\n%!"
-        name ref_ms new_ms
-        (if new_ms > 0. then ref_ms /. new_ms else infinity)
-        merges_new (route "structural") (route "memo") (route "phase_poly")
-        (route "dense") (route "oversize");
-      List.iter
-        (fun r ->
-          match
-            Qobs.Metrics.hist_value metrics
-              (Printf.sprintf "detect.route.%s.ms" r)
-          with
-          | Some h -> Printf.printf "    %-12s %6d checks %8.2f ms\n" r h.Qobs.Metrics.n h.Qobs.Metrics.sum
-          | None -> ())
-        [ "structural"; "memo"; "phase_poly"; "dense"; "oversize" ];
-      if not identical then begin
-        Printf.eprintf
-          "  FAIL %s: oracle detect diverges from reference (merges %d vs %d)\n%!"
-          name merges_new merges_ref;
-        let a = shape g_new and b = shape g_ref in
-        Printf.eprintf "    sizes %d vs %d\n%!" (List.length a) (List.length b);
-        (try
-           List.iteri
-             (fun i ((ida, qa, ga), (idb, qb, gb)) ->
-               if ida <> idb || qa <> qb || ga <> gb then begin
-                 Printf.eprintf
-                   "    first diff at %d: id %d vs %d, qubits [%s] vs [%s], \
-                    gates %d vs %d\n%!"
-                   i ida idb
-                   (String.concat ";" (List.map string_of_int qa))
-                   (String.concat ";" (List.map string_of_int qb))
-                   (List.length ga) (List.length gb);
-                 raise Exit
-               end)
-             (List.combine a b)
-         with Exit -> ());
-        failed := true
-      end;
-      let checks = Qobs.Metrics.counter_value metrics "detect.checks" in
-      let routed =
-        route "structural" + route "memo" + route "phase_poly" + route "dense"
-        + route "oversize"
-      in
-      if checks <> routed then begin
-        Printf.eprintf
-          "  FAIL %s: detect.route.* sums to %d but detect.checks is %d\n%!"
-          name routed checks;
-        failed := true
-      end)
-    [ "maxcut-reg4"; "sqrt-n3"; "uccsd-n6" ];
-  if !failed then exit 1
-
 (* ------------------------------------------------------------------ *)
 (* Perf gate: fresh per-pass times vs the committed baseline           *)
 
-(* Compares a fresh min-of-N run against BENCH_pipeline.json with a
-   per-pass tolerance. To stay robust against uniform machine skew
-   (different hardware, load) while still catching a single slow pass,
-   the per-pass ratios are calibrated by their median: a machine that is
-   2x slower everywhere has median ratio 2 and normalized ratios ~1, but
-   one regressed pass sticks out of the median unchanged. Knobs (env):
-     QCC_PERF_BASELINE      baseline file    (BENCH_pipeline.json)
-     QCC_PERF_GATE_FACTOR   fail threshold on the normalized ratio (1.75)
-     QCC_PERF_GATE_FLOOR_MS ignore passes with baseline below this (2.0)
-     QCC_PERF_GATE_REPS     fresh repetitions, min taken (3)
-     QCC_PERF_GATE_BENCHMARKS  comma-separated subset of the baseline's
-                               benchmarks (maxcut-line,sqrt-n3,uccsd-n4)
-     QCC_PERF_GATE_REQUIRE  comma-separated pass names that must each
-                            contribute at least one qualifying gated row
-                            (detect,schedule,aggregate) — catches a
-                            baseline whose hot passes all fell below the
-                            floor, which would silently un-gate them
-     QCC_PERF_GATE_HANDICAP pass=factor: multiply that pass's fresh time
-                            (self-test hook: a seeded 2x slowdown must
-                            fail the gate) *)
-let perf_gate () =
-  header "Perf gate: fresh per-pass wall times vs committed baseline";
-  let getenv name default =
-    match Sys.getenv_opt name with Some v -> v | None -> default
-  in
-  let baseline_path = getenv "QCC_PERF_BASELINE" "BENCH_pipeline.json" in
-  let factor = float_of_string (getenv "QCC_PERF_GATE_FACTOR" "1.75") in
-  let floor_ms = float_of_string (getenv "QCC_PERF_GATE_FLOOR_MS" "2.0") in
-  let reps = int_of_string (getenv "QCC_PERF_GATE_REPS" "3") in
-  let benches =
-    String.split_on_char ','
-      (getenv "QCC_PERF_GATE_BENCHMARKS" "maxcut-line,sqrt-n3,uccsd-n4")
-  in
-  let required =
-    List.filter
-      (fun s -> s <> "")
-      (String.split_on_char ',' (getenv "QCC_PERF_GATE_REQUIRE" "detect,schedule,aggregate"))
-  in
-  let handicap =
-    match Sys.getenv_opt "QCC_PERF_GATE_HANDICAP" with
-    | None -> None
-    | Some s -> (
-      match String.split_on_char '=' s with
-      | [ pass; f ] -> Some (pass, float_of_string f)
-      | _ -> failwith "QCC_PERF_GATE_HANDICAP: expected PASS=FACTOR")
-  in
-  let baseline_doc =
-    match
-      Qobs.Json.of_string
-        (In_channel.with_open_text baseline_path In_channel.input_all)
-    with
-    | Ok j -> j
-    | Error msg -> failwith (Printf.sprintf "%s: %s" baseline_path msg)
-    | exception Sys_error msg -> failwith msg
-  in
-  let base = Hashtbl.create 64 in
-  (match Qobs.Json.member "entries" baseline_doc with
-   | Some (Qobs.Json.List entries) ->
-     List.iter
-       (fun e ->
-         let str k =
-           match Qobs.Json.member k e with
-           | Some (Qobs.Json.Str s) -> s
-           | _ -> ""
-         in
-         let bench = str "benchmark" and strat = str "strategy" in
-         match Qobs.Json.member "passes" e with
-         | Some (Qobs.Json.List passes) ->
-           List.iter
-             (fun p ->
-               let pname =
-                 match Qobs.Json.member "pass" p with
-                 | Some (Qobs.Json.Str s) -> s
-                 | _ -> ""
-               in
-               let wall =
-                 match Qobs.Json.member "wall_ns" p with
-                 | Some (Qobs.Json.Float f) -> f
-                 | Some (Qobs.Json.Int n) -> float_of_int n
-                 | _ -> 0.
-               in
-               let key = (bench, strat, pname) in
-               Hashtbl.replace base key
-                 (wall +. Option.value ~default:0. (Hashtbl.find_opt base key)))
-             passes
-         | _ -> ())
-       entries
-   | _ -> failwith (Printf.sprintf "%s: no entries array" baseline_path));
-  (* fresh measurement: min over reps, per-circuit stage cache as the
-     baseline run used *)
-  let fresh = Hashtbl.create 64 in
-  for _rep = 1 to reps do
-    List.iter
-      (fun bench ->
-        let circuit = Qapps.Suite.lowered (Qapps.Suite.find bench) in
-        (* cold memos, as when the baseline was recorded *)
-        Qgdg.Oracle.reset_memos ();
-        let cache = Qcc.Pipeline.Cache.create () in
-        List.iter
-          (fun strategy ->
-            let obs = Qobs.Trace.create () in
-            let r = Compiler.compile ~obs ~cache ~strategy circuit in
-            match r.Compiler.trace with
-            | None -> ()
-            | Some root ->
-              let totals = Hashtbl.create 16 in
-              List.iter
-                (fun span ->
-                  let k = span.Qobs.Span.name in
-                  Hashtbl.replace totals k
-                    (Qobs.Span.duration_ns span
-                     +. Option.value ~default:0. (Hashtbl.find_opt totals k)))
-                (Qobs.Span.children root);
-              Hashtbl.iter
-                (fun pname wall ->
-                  let key = (bench, Strategy.to_string strategy, pname) in
-                  match Hashtbl.find_opt fresh key with
-                  | Some prev when prev <= wall -> ()
-                  | _ -> Hashtbl.replace fresh key wall)
-                totals)
-          Strategy.all)
-      benches
-  done;
-  (* qualifying rows: both sides present, baseline above the floor *)
-  let rows =
-    Hashtbl.fold
-      (fun ((bench, _, pname) as key) base_ns acc ->
-        if base_ns /. 1e6 < floor_ms || not (List.mem bench benches) then acc
-        else
-          match Hashtbl.find_opt fresh key with
-          | None -> acc
-          | Some f ->
-            let f =
-              match handicap with
-              | Some (hp, hf) when hp = pname -> f *. hf
-              | _ -> f
-            in
-            (key, base_ns, f) :: acc)
-      base []
-  in
-  if rows = [] then
-    failwith
-      (Printf.sprintf
-         "perf gate: no passes at or above the %.1f ms floor — regenerate \
-          the baseline (bench/main.exe pipeline)" floor_ms);
-  (* every required pass must actually be gated by at least one row:
-     a pass whose baseline dropped below the floor everywhere would
-     otherwise silently stop being measured *)
-  List.iter
-    (fun pass ->
-      if not (List.exists (fun ((_, _, p), _, _) -> p = pass) rows) then
-        failwith
-          (Printf.sprintf
-             "perf gate: required pass %S has no qualifying row (floor %.1f \
-              ms) — lower QCC_PERF_GATE_FLOOR_MS, widen \
-              QCC_PERF_GATE_BENCHMARKS, or drop it from \
-              QCC_PERF_GATE_REQUIRE"
-             pass floor_ms))
-    required;
+(* The gate re-measures [gate_benchmarks] with [measure] and compares
+   each pass against the baseline ($QCC_PERF_BASELINE, default
+   BENCH_pipeline.json, written by [pipeline] through the same
+   function). Passes whose baseline is below [gate_floor_ms] are not
+   gated; each pass in [gate_required] must still be gated by at least
+   one row, so a baseline whose hot passes all fell below the floor
+   cannot silently un-gate them. *)
+let gate_factor = 1.75
+let gate_floor_ms = 2.0
+let gate_benchmarks = [ "maxcut-line"; "sqrt-n3"; "uccsd-n4" ]
+let gate_required = [ "detect"; "schedule"; "aggregate" ]
+
+(* The verdict on (key, baseline ns, fresh ns) rows. To stay robust
+   against uniform machine skew (different hardware, load) while still
+   catching a single slow pass, the ratios are calibrated by their
+   median: a machine 2x slower everywhere has median ratio 2 and
+   normalized ratios ~1, but one regressed pass sticks out of the median
+   unchanged. The calibration is clamped so a pathological baseline
+   cannot silently raise the bar. Returns the skew, every row with its
+   normalized ratio (worst first), and the failing rows: those above
+   [gate_factor]. *)
+let gate_verdict rows =
   let ratios = List.sort compare (List.map (fun (_, b, f) -> f /. b) rows) in
   let median = List.nth ratios (List.length ratios / 2) in
-  (* calibration is itself clamped so a pathological baseline cannot
-     silently raise the bar *)
   let skew = Float.max 0.25 (Float.min 4.0 median) in
   let normalized =
     List.sort
       (fun (_, _, _, a) (_, _, _, b) -> compare b a)
       (List.map (fun (key, b, f) -> (key, b, f, f /. b /. skew)) rows)
   in
+  (skew, normalized, List.filter (fun (_, _, _, r) -> r > gate_factor) normalized)
+
+(* (benchmark, strategy, pass) -> wall ns, from BENCH_pipeline.json
+   entries *)
+let pass_walls entries =
+  let str k j =
+    match Qobs.Json.member k j with Some (Qobs.Json.Str s) -> s | _ -> ""
+  in
+  let walls = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      match Qobs.Json.member "passes" e with
+      | Some (Qobs.Json.List passes) ->
+        List.iter
+          (fun p ->
+            let wall =
+              match Qobs.Json.member "wall_ns" p with
+              | Some (Qobs.Json.Float f) -> f
+              | Some (Qobs.Json.Int n) -> float_of_int n
+              | _ -> 0.
+            in
+            Hashtbl.replace walls
+              (str "benchmark" e, str "strategy" e, str "pass" p)
+              wall)
+          passes
+      | _ -> ())
+    entries;
+  walls
+
+let perf_gate () =
+  header "Perf gate: fresh per-pass wall times vs committed baseline";
+  let baseline_path =
+    Option.value ~default:"BENCH_pipeline.json"
+      (Sys.getenv_opt "QCC_PERF_BASELINE")
+  in
+  (* measure before reading the baseline, so the process state up to
+     the measurement is the same as when [pipeline] recorded it *)
+  let fresh = pass_walls (measure ~reps:measure_reps gate_benchmarks) in
+  let base =
+    match
+      Qobs.Json.of_string
+        (In_channel.with_open_text baseline_path In_channel.input_all)
+    with
+    | Ok doc -> (
+      match Qobs.Json.member "entries" doc with
+      | Some (Qobs.Json.List entries) -> pass_walls entries
+      | _ -> failwith (Printf.sprintf "%s: no entries array" baseline_path))
+    | Error msg -> failwith (Printf.sprintf "%s: %s" baseline_path msg)
+    | exception Sys_error msg -> failwith msg
+  in
+  (* gated rows: both sides present, baseline at or above the floor *)
+  let rows =
+    Hashtbl.fold
+      (fun key base_ns acc ->
+        match Hashtbl.find_opt fresh key with
+        | Some f when base_ns /. 1e6 >= gate_floor_ms -> (key, base_ns, f) :: acc
+        | _ -> acc)
+      base []
+  in
+  if rows = [] then
+    failwith
+      (Printf.sprintf
+         "perf gate: no passes at or above the %.1f ms floor — regenerate \
+          the baseline (bench/main.exe pipeline)" gate_floor_ms);
+  List.iter
+    (fun pass ->
+      if not (List.exists (fun ((_, _, p), _, _) -> p = pass) rows) then
+        failwith
+          (Printf.sprintf
+             "perf gate: required pass %S has no gated row (floor %.1f ms) \
+              — regenerate the baseline (bench/main.exe pipeline) or revisit \
+              the gate constants in bench/main.ml"
+             pass gate_floor_ms))
+    gate_required;
+  (* self-check: the same rows, with every aggregate row at twice its
+     baseline time and every other row at exactly its baseline time,
+     must fail the verdict. The rows come from the baseline alone, so
+     this check cannot flake. *)
+  let seeded =
+    List.map
+      (fun (((_, _, pass) as key), b, _) ->
+        (key, b, if pass = "aggregate" then 2. *. b else b))
+      rows
+  in
+  let _, _, seeded_failures = gate_verdict seeded in
+  if seeded_failures = [] then begin
+    Printf.eprintf "  FAIL perf gate: gate cannot see a 2× aggregate slowdown\n%!";
+    exit 1
+  end;
+  let skew, normalized, failures = gate_verdict rows in
   Printf.printf
     "  %d passes gated (floor %.1f ms, factor %.2f, reps %d, machine skew %.2fx)\n"
-    (List.length rows) floor_ms factor reps skew;
+    (List.length rows) gate_floor_ms gate_factor measure_reps skew;
   List.iteri
     (fun i ((bench, strat, pname), b, f, r) ->
       if i < 12 then
         Printf.printf "  %-14s %-16s %-12s base %9.2f ms | fresh %9.2f ms | x%5.2f\n"
           bench strat pname (b /. 1e6) (f /. 1e6) r)
     normalized;
-  let failures = List.filter (fun (_, _, _, r) -> r > factor) normalized in
-  if failures <> [] then begin
+  if failures = [] then Printf.printf "  perf gate OK\n%!"
+  else begin
     List.iter
       (fun ((bench, strat, pname), b, f, r) ->
         Printf.eprintf
           "  FAIL %s/%s/%s: %.2f ms vs baseline %.2f ms (normalized %.2fx > %.2fx)\n%!"
-          bench strat pname (f /. 1e6) (b /. 1e6) r factor)
+          bench strat pname (f /. 1e6) (b /. 1e6) r gate_factor)
       failures;
     exit 1
   end
-  else Printf.printf "  perf gate OK\n%!"
+
+(* ------------------------------------------------------------------ *)
+(* Bechamel runner shared by the microbenchmark experiments            *)
+
+(* Each test for up to 2000 samples / 0.5 s; prints the OLS estimate of
+   the time per run, names padded to [name_width]. *)
+let run_bechamel ~name_width tests =
+  let open Bechamel in
+  let instance = Toolkit.Instance.monotonic_clock in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+  in
+  List.iter
+    (fun test ->
+      let results = Benchmark.all cfg [ instance ] test in
+      Hashtbl.iter
+        (fun name ols_result ->
+          match Analyze.OLS.estimates ols_result with
+          | Some [ est ] ->
+            Printf.printf "  %-*s %12.1f ns/run\n%!" name_width name est
+          | Some _ | None ->
+            Printf.printf "  %-*s (no estimate)\n%!" name_width name)
+        (Analyze.all ols instance results))
+    tests
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the default-off path must be free           *)
@@ -835,22 +700,7 @@ let obs_overhead () =
       Test.make ~name:"compile-obs-off" (Staged.stage compile_off);
       Test.make ~name:"compile-obs-on" (Staged.stage compile_on) ]
   in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-        stats)
-    tests
+  run_bechamel ~name_width:28 tests
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the compiler passes                     *)
@@ -883,22 +733,7 @@ let bechamel () =
              Qcontrol.Weyl.coordinates (Qgate.Unitary.of_kind Gate.Iswap)))
     ]
   in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-24s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n%!" name)
-        stats)
-    tests
+  run_bechamel ~name_width:24 tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -929,121 +764,6 @@ let certify_overhead () =
             (certified /. plain) facts)
         Strategy.all)
     [ "maxcut-line"; "ising-n30"; "uccsd-n4" ]
-
-(* ------------------------------------------------------------------ *)
-(* Parallel smoke: 4 domains, disjoint benchmark×strategy compiles     *)
-
-(* Runtime proof behind the domlint gate: four domains compile disjoint
-   benchmark×strategy jobs concurrently — per-domain memos (Oracle /
-   Latency_model), per-domain ambient metrics shards, and one
-   SHARED mutex-guarded stage cache — and every latency, merge count and
-   certificate digest must be byte-identical to a cold sequential run of
-   the same jobs. The lazy suite circuits are forced on the main domain
-   before any spawn (see the [@@domain_safety unsafe] note on
-   Qapps.Suite.all). *)
-let par_smoke () =
-  header "Parallel smoke: 4-domain compiles vs sequential (byte-identical)";
-  let circuits =
-    List.map
-      (fun b -> (b, Qapps.Suite.lowered (Qapps.Suite.find b)))
-      [ "maxcut-line"; "uccsd-n4" ]
-  in
-  let jobs =
-    Array.of_list
-      (List.concat_map
-         (fun (b, c) -> List.map (fun s -> (b, s, c)) Strategy.all)
-         circuits)
-  in
-  let fingerprint r =
-    let digest =
-      match r.Compiler.certificate with
-      | Some c ->
-        Digest.to_hex
-          (Digest.string (Qobs.Json.to_string (Qcert.Certificate.to_json c)))
-      | None -> "<uncertified>"
-    in
-    (Printf.sprintf "%h" r.Compiler.latency, r.Compiler.n_merges, digest)
-  in
-  (* sequential reference: every job from cold per-domain memos *)
-  let expected =
-    Array.map
-      (fun (_, strategy, circuit) ->
-        Compiler.reset_all_memos ();
-        fingerprint (Compiler.compile ~certify:true ~strategy circuit))
-      jobs
-  in
-  (* parallel: round-robin the jobs over 4 domains sharing one
-     mutex-guarded stage cache (a hit skips only the work, so results
-     and certificates are unchanged); each job compiles into its own
-     metrics shard, merged after the join *)
-  let n_domains = 4 in
-  let cache = Qcc.Pipeline.Cache.create () in
-  let worker d () =
-    let out = ref [] in
-    Array.iteri
-      (fun i (_, strategy, circuit) ->
-        if i mod n_domains = d then begin
-          Compiler.reset_all_memos ();
-          let metrics = Qobs.Metrics.create () in
-          let r =
-            Compiler.compile ~certify:true ~metrics ~cache ~strategy circuit
-          in
-          out := (i, fingerprint r, metrics) :: !out
-        end)
-      jobs;
-    !out
-  in
-  let domains =
-    List.init n_domains (fun d -> Domain.spawn (worker d))
-  in
-  let got = List.concat_map Domain.join domains in
-  let shards = List.map (fun (_, _, m) -> m) got in
-  let merged =
-    List.fold_left Qobs.Metrics.merge (Qobs.Metrics.create ()) shards
-  in
-  let failed = ref false in
-  (* the index multiset comes first: the per-job comparison below indexes
-     [expected] by whatever indices the workers returned, so a dropped or
-     double-assigned job would otherwise pass it silently *)
-  let indices = List.sort compare (List.map (fun (i, _, _) -> i) got) in
-  if indices <> List.init (Array.length jobs) Fun.id then begin
-    let count i = List.length (List.filter (Int.equal i) indices) in
-    let show l = String.concat ", " (List.map string_of_int l) in
-    let missing =
-      List.filter (fun i -> count i = 0)
-        (List.init (Array.length jobs) Fun.id)
-    in
-    let duplicated =
-      List.sort_uniq compare (List.filter (fun i -> count i > 1) indices)
-    in
-    Printf.eprintf
-      "  FAIL: job index multiset mismatch (%d results for %d jobs; \
-       missing [%s]; duplicated [%s])\n%!"
-      (List.length got) (Array.length jobs) (show missing) (show duplicated);
-    failed := true
-  end;
-  List.iter
-    (fun (i, fp, _) ->
-      let bench, strategy, _ = jobs.(i) in
-      let (e_lat, e_merges, e_digest) = expected.(i)
-      and (g_lat, g_merges, g_digest) = fp in
-      if fp <> expected.(i) then begin
-        Printf.eprintf
-          "  FAIL %s/%s: parallel (lat %s, merges %d, cert %s) vs sequential \
-           (lat %s, merges %d, cert %s)\n%!"
-          bench (Strategy.to_string strategy) g_lat g_merges g_digest e_lat
-          e_merges e_digest;
-        failed := true
-      end)
-    got;
-  Printf.printf
-    "  %d jobs on %d domains: commute.checks %d | cache hits %d (misses %d) | %s\n%!"
-    (Array.length jobs) n_domains
-    (Qobs.Metrics.counter_value merged "commute.checks")
-    (Qcc.Pipeline.Cache.hits cache)
-    (Qcc.Pipeline.Cache.misses cache)
-    (if !failed then "MISMATCH" else "all byte-identical");
-  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scaling: jobs ∈ {1,2,4,8} over the full matrix             *)
@@ -1168,9 +888,6 @@ let experiments =
     ("fidelity", fidelity);
     ("ablations", ablations);
     ("pipeline", pipeline);
-    ("pipeline-smoke", pipeline_smoke);
-    ("detect-speed", detect_speed);
-    ("par-smoke", par_smoke);
     ("par-scale", par_scale);
     ("perf-gate", perf_gate);
     ("obs-overhead", obs_overhead);

@@ -18,37 +18,6 @@ val is_schedulable : Qgdg.Gdg.t -> Qgdg.Comm_group.t -> int -> int -> bool
 
 val merged_width : Qgdg.Gdg.t -> int -> int -> int
 
-val positions : Qgdg.Gdg.t -> (int * int, int) Hashtbl.t
-(** One pass over all chains: (qubit, id) → position in that qubit's
-    chain. The incremental aggregator maintains this table across merges
-    instead of rebuilding it per sweep. *)
-
-val is_schedulable_tables :
-  Qgdg.Comm_group.t ->
-  pos:(int * int, int) Hashtbl.t ->
-  succ:(int * int, int) Hashtbl.t ->
-  Qgdg.Inst.t ->
-  Qgdg.Inst.t ->
-  bool
-(** {!is_schedulable} against caller-maintained chain tables ([pos] as
-    from {!positions}, [succ] keyed (id, qubit) as from
-    {!Qgdg.Gdg.neighbor_tables}): O(shared qubits) lookups per check
-    instead of O(chain) walks. Equivalent when the tables are current. *)
-
-val candidates_of :
-  Qgdg.Gdg.t ->
-  Qgdg.Comm_group.t ->
-  width_limit:int ->
-  pos:(int * int, int) Hashtbl.t ->
-  succ:(int * int, int) Hashtbl.t ->
-  Qgdg.Inst.t ->
-  (int * int) list
-(** The schedulable pairs whose {e earlier} member is the given node:
-    its immediate chain children and its later same-group siblings,
-    width-filtered. {!candidates} is the union over all nodes; the
-    incremental aggregator calls this for just the nodes a merge
-    affected. *)
-
 val candidates :
   Qgdg.Gdg.t -> Qgdg.Comm_group.t -> width_limit:int -> (int * int) list
 (** All schedulable (a, b) pairs within the width limit: immediate

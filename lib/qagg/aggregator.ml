@@ -111,8 +111,8 @@ let run ?(width_limit = 10) ?(max_rounds = 8) ?(pessimism = `Model) ~cost g =
     phase "agg.phase.groups.ms" (fun () -> Comm_group.build ~commute g)
   in
   let view = ref (phase "agg.phase.slack.ms" (fun () -> build_view g)) in
-  (* {!Action.is_schedulable_tables} against the array-backed chain
-     tables: same per-qubit test, O(shared qubits) array reads *)
+  (* {!Action.is_schedulable} against the array-backed chain tables:
+     same per-qubit test, O(shared qubits) array reads *)
   let schedulable (ia : Inst.t) (ib : Inst.t) =
     let s = !view in
     let nq = s.nq in

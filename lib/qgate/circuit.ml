@@ -4,7 +4,11 @@ let check_gate n g =
   if List.exists (fun q -> q < 0 || q >= n) (Gate.qubits g) then
     invalid_arg
       (Printf.sprintf "Circuit: gate %s outside register of %d qubits"
-         (Gate.to_string g) n)
+         (Gate.to_string g) n);
+  if not (List.for_all Float.is_finite (Gate.params g)) then
+    invalid_arg
+      (Printf.sprintf "Circuit: gate %s has a non-finite parameter"
+         (Gate.to_string g))
 
 let make n_qubits gates =
   if n_qubits < 0 then invalid_arg "Circuit.make: negative register";

@@ -3,11 +3,16 @@
 type t = { n_qubits : int; gates : Gate.t list }
 
 val make : int -> Gate.t list -> t
-(** Raises [Invalid_argument] when a gate touches a qubit outside
-    [0 .. n_qubits-1]. *)
+(** Raises [Invalid_argument] naming the gate when a gate touches a
+    qubit outside [0 .. n_qubits-1] or has a non-finite parameter
+    ([nan] or an infinity in {!Gate.params}). A circuit built as a
+    record literal skips both checks until {!Decompose.to_isa}, which
+    rebuilds through [make]. *)
 
 val empty : int -> t
 val append : t -> Gate.t -> t
+(** Same checks as {!make} on the appended gate. *)
+
 val concat : t -> t -> t
 (** Sequential composition; qubit counts must agree. *)
 

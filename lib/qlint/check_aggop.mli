@@ -15,6 +15,14 @@
     the leftover opportunities visible; `qcc lint --semantic` surfaces
     them without failing CI.
 
+    QL070 applies two width caps: a pair is asked only when its joint
+    support fits [width_limit], and {!Qgdg.Oracle.algebraic_blocks}
+    examines a pair wider than 12 joint qubits only by its
+    disjoint/all-diagonal shortcut. So even under a [width_limit] above
+    12, a pair of 13 or more joint qubits is reported only when both
+    members are identity/diagonal; a commuting non-diagonal pair that
+    wide is passed over without a diagnostic.
+
     QL071 needs a per-gate cost and is skipped when [gate_time] is not
     given. *)
 

@@ -89,26 +89,53 @@ let golden_cases =
             (Compiler.compile_all ~certify circuit)))
     [ "maxcut-line"; "maxcut-reg4"; "ising-n30"; "sqrt-n3"; "uccsd-n4";
       "uccsd-n6" ]
+  @ [ case "golden: certified matrix on a 4-domain pool" (fun () ->
+          (* ten certified cells on four domains sharing one stage cache
+             must reproduce the sequential golden, certificate digests
+             included *)
+          let benches = [ "maxcut-line"; "uccsd-n4" ] in
+          let rows =
+            Compiler.compile_matrix ~certify:true ~jobs:4
+              (List.map (fun b -> (b, circuit_of b)) benches)
+          in
+          Alcotest.(check (list string)) "row order" benches
+            (List.map fst rows);
+          List.iter
+            (fun (bench, results) ->
+              check_int (bench ^ " cells") (List.length Strategy.all)
+                (List.length results);
+              List.iter
+                (fun (_, (r : Compiler.result)) ->
+                  check_bool (bench ^ " certified") true
+                    (r.Compiler.certificate <> None))
+                results;
+              check_against_golden ~id:"pooled" bench results)
+            rows) ]
 
 let cache_cases =
   [ case "cache on/off produces identical results" (fun () ->
-        let circuit = circuit_of "maxcut-line" in
         List.iter
-          (fun strategy ->
-            let uncached = Compiler.compile ~strategy circuit in
-            check_against_golden
-              ~id:"uncached"
-              "maxcut-line"
-              [ (strategy, uncached) ])
-          Strategy.all);
+          (fun bench ->
+            let circuit = circuit_of bench in
+            List.iter
+              (fun strategy ->
+                let uncached = Compiler.compile ~strategy circuit in
+                check_against_golden ~id:"uncached" bench
+                  [ (strategy, uncached) ])
+              Strategy.all)
+          [ "maxcut-line"; "uccsd-n4" ]);
     case "compile_all shares the strategy-prefix artifacts" (fun () ->
         (* every strategy lowers the same circuit (4 hits after the
            first), and isa/aggregation additionally share placement and
            routing (2 more) *)
-        let cache = Pipeline.Cache.create () in
-        ignore (Compiler.compile_all ~cache (circuit_of "maxcut-line"));
-        check_int "hits" 6 (Pipeline.Cache.hits cache);
-        check_bool "misses counted" true (Pipeline.Cache.misses cache > 0));
+        List.iter
+          (fun (bench, hits) ->
+            let cache = Pipeline.Cache.create () in
+            ignore (Compiler.compile_all ~cache (circuit_of bench));
+            check_int (bench ^ " hits") hits (Pipeline.Cache.hits cache);
+            check_bool (bench ^ " misses counted") true
+              (Pipeline.Cache.misses cache > 0))
+          [ ("maxcut-line", 6); ("uccsd-n4", 6) ]);
     case "hits are physically shared artifacts" (fun () ->
         let circuit = circuit_of "maxcut-line" in
         let cache = Pipeline.Cache.create () in

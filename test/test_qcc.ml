@@ -250,6 +250,19 @@ let compiler_cases =
              "Strategy.of_string: unknown \"warp\" (expected isa | cls | \
               aggregation | cls+aggregation | cls+hand)") (fun () ->
             ignore (Strategy.of_string "warp")));
+    case "non-finite parameter in a record literal stops at lower"
+      (fun () ->
+        (* the record literal skips Circuit.make's checks; lowering
+           rebuilds through it, so no strategy returns a nan latency *)
+        let circuit = { Circuit.n_qubits = 1; gates = [ Gate.rz infinity 0 ] } in
+        List.iter
+          (fun strategy ->
+            match Compiler.compile ~strategy circuit with
+            | r ->
+              Alcotest.failf "%s: compiled to latency %g"
+                (Strategy.to_string strategy) r.Compiler.latency
+            | exception Invalid_argument _ -> ())
+          Strategy.all);
     case "report geomean" (fun () ->
         check_float ~eps:1e-9 "geomean" 2. (Qcc.Report.geometric_mean [ 1.; 4. ]);
         Alcotest.check_raises "empty raises"

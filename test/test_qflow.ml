@@ -278,6 +278,24 @@ let semantic_cases =
         in
         check_int "none" 0
           (count_code "QL070" (Qlint.Check_aggop.run ~width_limit:4 g)));
+    case "QL070 past 12 joint qubits: only the all-diagonal shortcut"
+      (fun () ->
+        (* width_limit 14 admits every pair below; the oracle's 12-qubit
+           algebraic cap still decides which wide pairs are examined *)
+        let pair n gate =
+          let layer = List.init n gate in
+          Gdg.of_insts ~n_qubits:n
+            [ Inst.make ~id:0 ~latency:10. layer;
+              Inst.make ~id:1 ~latency:10. layer ]
+        in
+        let ql070 g =
+          count_code "QL070" (Qlint.Check_aggop.run ~width_limit:14 g)
+        in
+        check_int "13-qubit all-diagonal pair" 1 (ql070 (pair 13 Gate.t));
+        check_int "13-qubit commuting non-diagonal pair" 0
+          (ql070 (pair 13 Gate.x));
+        check_int "12-qubit commuting non-diagonal pair" 1
+          (ql070 (pair 12 Gate.x)));
     case "QL071 witness: serially-costed diagonal aggregate" (fun () ->
         let cost _ = 25. in
         let block = [ Gate.rz 0.3 0; Gate.rz 0.4 1 ] in

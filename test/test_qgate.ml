@@ -180,6 +180,21 @@ let circuit_cases =
         Alcotest.check_raises "raises"
           (Invalid_argument "Circuit: gate cx q1,q5 outside register of 3 qubits")
           (fun () -> ignore (Circuit.make 3 [ Gate.cnot 1 5 ])));
+    case "make and append reject non-finite parameters" (fun () ->
+        let rejects what f =
+          match f () with
+          | (_ : Circuit.t) -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument msg ->
+            check_bool (what ^ " names the gate: " ^ msg) true
+              (String.starts_with ~prefix:"Circuit: gate rz" msg)
+        in
+        rejects "make rz nan" (fun () -> Circuit.make 1 [ Gate.rz Float.nan 0 ]);
+        rejects "make rz infinity" (fun () ->
+            Circuit.make 1 [ Gate.rz infinity 0 ]);
+        rejects "append rz neg_infinity" (fun () ->
+            Circuit.append (Circuit.empty 1) (Gate.rz neg_infinity 0));
+        check_int "finite rz accepted" 1
+          (Circuit.n_gates (Circuit.make 1 [ Gate.rz 1e300 0 ])));
     case "depth of layered circuit" (fun () ->
         let c =
           Circuit.make 4

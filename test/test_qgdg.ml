@@ -484,12 +484,34 @@ let diagonal_cases =
             let circuit = Qapps.Suite.lowered b in
             let g_new = Gdg.of_circuit ~latency:sum_latency circuit in
             let g_ref = Gdg.of_circuit ~latency:sum_latency circuit in
+            (* the production pass runs under a fresh registry so its
+               route counters can be checked to partition its queries *)
+            let metrics = Qobs.Metrics.create () in
             let merges_new =
-              Diagonal.detect_and_contract ~latency:sum_latency g_new
+              Qobs.Metrics.with_ambient metrics (fun () ->
+                  Diagonal.detect_and_contract ~latency:sum_latency g_new)
             in
             let merges_ref =
               Diagonal.detect_and_contract_reference ~latency:sum_latency g_ref
             in
+            let routes =
+              List.fold_left
+                (fun acc name ->
+                  if
+                    String.starts_with ~prefix:"detect.route." name
+                    && not (Filename.check_suffix name ".ms")
+                  then acc + Qobs.Metrics.counter_value metrics name
+                  else acc)
+                0 (Qobs.Metrics.names metrics)
+            in
+            let checks = Qobs.Metrics.counter_value metrics "detect.checks" in
+            check_bool
+              (Printf.sprintf "%s detect queries counted" b.Qapps.Suite.name)
+              true (checks > 0);
+            check_int
+              (Printf.sprintf "%s detect.route.* sums to detect.checks"
+                 b.Qapps.Suite.name)
+              checks routes;
             check_int
               (Printf.sprintf "%s merges" b.Qapps.Suite.name)
               merges_ref merges_new;
